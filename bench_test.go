@@ -436,12 +436,6 @@ func BenchmarkKernels(b *testing.B) {
 	layDeg := reorder.NewLayout(offsets, adj, nil, reorder.Degree)
 	layRCM := reorder.NewLayout(offsets, adj, nil, reorder.RCM)
 
-	// Float32 variants gather 4B x values instead of 8B — the Kernel32 option's
-	// bandwidth claim. The iterate converts once per call (the conversion is
-	// part of the measured work, as it is per iteration in production).
-	x32 := make([]float32, n)
-	spmv32Bytes := float64(8*nnz + 12*n + 8*(n+1))
-
 	gbps := func(bytes float64, fn func()) float64 {
 		fn() // warm caches and pool
 		const reps = 12
@@ -453,7 +447,6 @@ func BenchmarkKernels(b *testing.B) {
 	}
 
 	var plain, masked, weighted, blocked, layoutDeg, layoutRCM, proj float64
-	var spmv32, blocked32 float64
 	projBytes := float64(8 * n * 4) // y, dst, and two constraint weight rows
 	py := make([]float64, n)
 	copy(py, x)
@@ -479,14 +472,6 @@ func BenchmarkKernels(b *testing.B) {
 		blocked = gbps(spmvBytes, func() { vecmath.SpMVBlockedPool(offsets, adj, nil, x, dst, nil, pool) })
 		layoutDeg = gbps(spmvBytes, func() { layDeg.SpMVMasked(x, dst, nil, pool) })
 		layoutRCM = gbps(spmvBytes, func() { layRCM.SpMVMasked(x, dst, nil, pool) })
-		spmv32 = gbps(spmv32Bytes, func() {
-			vecmath.Convert32Pool(x32, x, pool)
-			vecmath.SpMV32WeightedMaskedPool(offsets, adj, nil, x32, dst, nil, pool)
-		})
-		blocked32 = gbps(spmv32Bytes, func() {
-			vecmath.Convert32Pool(x32, x, pool)
-			vecmath.SpMVBlocked32Pool(offsets, adj, nil, x32, dst, nil, pool)
-		})
 		proj = gbps(projBytes, func() {
 			if err := project.Project(pdst, py, cons, popt, st); err != nil {
 				b.Fatal(err)
@@ -500,8 +485,6 @@ func BenchmarkKernels(b *testing.B) {
 	b.ReportMetric(blocked, "spmv_blocked_gbps")
 	b.ReportMetric(layoutDeg, "spmv_layout_degree_gbps")
 	b.ReportMetric(layoutRCM, "spmv_layout_rcm_gbps")
-	b.ReportMetric(spmv32, "spmv32_gbps")
-	b.ReportMetric(blocked32, "spmv32_blocked_gbps")
 	b.ReportMetric(proj, "projection_gbps")
 	// The headline claim: the register-blocked kernel over the degree-sorted
 	// layout — the exact production path selected by Options.Reorder — against
@@ -583,60 +566,6 @@ func BenchmarkPrepAmortization(b *testing.B) {
 	b.ReportMetric(warmSecs/float64(b.N)*1e3, "warm_ms")
 	b.ReportMetric(prepSecs/float64(b.N)*1e3, "prep_ms")
 	b.ReportMetric(coldSecs/warmSecs, "speedup")
-}
-
-// BenchmarkIncrementalGD compares full-gradient GD with the incremental
-// (moved-coordinate delta) gradient path on the same bisection, in two
-// regimes. With vertex fixing on (the default), the masked SpMV already
-// skips fixed rows, so the delta gate rarely fires and the contract is
-// simply "no overhead, no quality change". With vertex fixing off (the
-// paper's Fig. 9 ablation configs), every row stays in the SpMV while the
-// moved set collapses as coordinates saturate — the regime the delta
-// scatter is built for. The quality guards locality_delta and
-// locality_delta_nofix must stay ~0: the incremental path is an exact
-// resync-corrected evaluation of the same iteration, not an approximation.
-func BenchmarkIncrementalGD(b *testing.B) {
-	g, _ := benchMLGraph()
-	solve := func(o Options) (*Result, float64) {
-		start := time.Now()
-		res, err := Partition(g, o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return res, time.Since(start).Seconds()
-	}
-	opts := Options{K: 2, Seed: 42}
-	nofix := opts
-	nofix.DisableVertexFixing = true
-	var fullSecs, incSecs, fullNofixSecs, incNofixSecs float64
-	var full, inc, fullNofix, incNofix *Result
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var s float64
-		full, s = solve(opts)
-		fullSecs += s
-		o := opts
-		o.IncrementalGradient = true
-		inc, s = solve(o)
-		incSecs += s
-
-		fullNofix, s = solve(nofix)
-		fullNofixSecs += s
-		o = nofix
-		o.IncrementalGradient = true
-		incNofix, s = solve(o)
-		incNofixSecs += s
-	}
-	b.ReportMetric(full.EdgeLocality, "locality_full")
-	b.ReportMetric(inc.EdgeLocality, "locality_incremental")
-	b.ReportMetric(inc.EdgeLocality-full.EdgeLocality, "locality_delta")
-	b.ReportMetric(fullSecs/float64(b.N)*1e3, "full_ms")
-	b.ReportMetric(incSecs/float64(b.N)*1e3, "incremental_ms")
-	b.ReportMetric(fullSecs/incSecs, "speedup")
-	b.ReportMetric(incNofix.EdgeLocality-fullNofix.EdgeLocality, "locality_delta_nofix")
-	b.ReportMetric(fullNofixSecs/float64(b.N)*1e3, "full_nofix_ms")
-	b.ReportMetric(incNofixSecs/float64(b.N)*1e3, "incremental_nofix_ms")
-	b.ReportMetric(fullNofixSecs/incNofixSecs, "speedup_nofix")
 }
 
 // BenchmarkMultilevelCoarsen isolates hierarchy construction (cluster

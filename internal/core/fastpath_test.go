@@ -1,15 +1,12 @@
 package core
 
-// Coverage for the speed-of-light kernel paths: reordered SpMV layouts must
-// be byte-identical to the plain path, and the incremental-gradient path
-// must be deterministic across worker counts while staying close to the
-// full-recompute trajectory in solution quality.
+// Coverage for the reordered SpMV layouts: a reordered solve must be
+// byte-identical to the plain path.
 
 import (
 	"testing"
 
 	"mdbgp/internal/gen"
-	"mdbgp/internal/partition"
 	"mdbgp/internal/reorder"
 )
 
@@ -61,91 +58,4 @@ func TestReorderKWayByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameParts(t, "kway reorder", ref, res)
-}
-
-func TestIncrementalGradientDeterministicAcrossWorkers(t *testing.T) {
-	g, _ := gen.SBM(gen.SBMConfig{N: 9000, Communities: 2, AvgDegree: 12, InFraction: 0.85, Seed: 5})
-	ws := vertexEdgeWeights(g)
-	opt := DefaultOptions()
-	opt.Seed = 31
-	opt.IncrementalGradient = true
-	opt.Workers = 1
-	ref, err := Bisect(g, ws, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range workerCounts[1:] {
-		opt.Workers = w
-		res, err := Bisect(g, ws, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range ref.X {
-			if res.X[i] != ref.X[i] {
-				t.Fatalf("workers=%d: incremental X[%d] = %v, want %v (not bit-identical)",
-					w, i, res.X[i], ref.X[i])
-			}
-		}
-		assertSameParts(t, "incremental", ref.Assignment, res.Assignment)
-	}
-	// Reorder composes with the incremental path and must not change results.
-	opt.Workers = 2
-	opt.Reorder = reorder.RCM
-	res, err := Bisect(g, ws, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ref.X {
-		if res.X[i] != ref.X[i] {
-			t.Fatalf("incremental+reorder: X[%d] = %v, want %v", i, res.X[i], ref.X[i])
-		}
-	}
-}
-
-func TestIncrementalResyncOneMatchesFull(t *testing.T) {
-	// ResyncEvery = 1 means every gradient is an exact recompute, so the run
-	// must be byte-identical to a plain one.
-	g, _ := gen.SBM(gen.SBMConfig{N: 6000, Communities: 2, AvgDegree: 10, InFraction: 0.85, Seed: 3})
-	ws := vertexEdgeWeights(g)
-	opt := DefaultOptions()
-	opt.Seed = 17
-	ref, err := Bisect(g, ws, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.IncrementalGradient = true
-	opt.ResyncEvery = 1
-	res, err := Bisect(g, ws, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range ref.X {
-		if res.X[i] != ref.X[i] {
-			t.Fatalf("resync=1: X[%d] = %v, want %v", i, res.X[i], ref.X[i])
-		}
-	}
-	assertSameParts(t, "resync=1", ref.Assignment, res.Assignment)
-}
-
-func TestIncrementalGradientQuality(t *testing.T) {
-	// The incremental trajectory drifts from the full one only between
-	// resyncs; final solution quality must stay comparable.
-	g, _ := gen.SBM(gen.SBMConfig{N: 9000, Communities: 2, AvgDegree: 12, InFraction: 0.85, Seed: 41})
-	ws := vertexEdgeWeights(g)
-	opt := DefaultOptions()
-	opt.Seed = 43
-	full, err := Bisect(g, ws, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.IncrementalGradient = true
-	inc, err := Bisect(g, ws, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lf := partition.EdgeLocality(g, full.Assignment)
-	li := partition.EdgeLocality(g, inc.Assignment)
-	if li < lf-0.05 {
-		t.Fatalf("incremental locality %.4f, full %.4f: degraded more than 5pp", li, lf)
-	}
 }

@@ -11,12 +11,23 @@
 // fixing — are implemented and individually switchable so the Figure 8–10
 // ablations can be reproduced. k-way partitions use recursive bisection
 // (§3.3) with asymmetric split targets for non-powers of two.
+//
+// The loop works on an active set. Vertex fixing removes a vertex from the
+// optimization for good, and late in a run only a small fraction of n is
+// still free, so the loop keeps the free vertices as a sorted index list
+// with every per-iteration vector compacted alongside it: the gradient is
+// summed for free rows only, and noise, step, projection, write-back and
+// fixing all cost O(free). Only the SpMV's column reads still reach fixed
+// neighbors. Norms that set the step size are reduced over the pool's
+// original n-index chunks, so the result is byte-identical to a loop that
+// rescans all n vertices every iteration.
 package core
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"mdbgp/internal/coarsen"
 	"mdbgp/internal/graph"
@@ -118,31 +129,6 @@ type Options struct {
 	// a reordered solve is byte-identical to an unreordered one, injection
 	// can never change results and the field stays outside every fingerprint.
 	Layout *reorder.Layout
-	// Kernel32 runs the gradient SpMV through the float32 kernels: x and the
-	// edge weights are rounded to float32 per value, halving the gathered
-	// bytes per arc, while every row still accumulates in float64 in its
-	// original arc order. Results remain bit-identical at any worker count
-	// and with or without Reorder/Layout, but NOT bit-identical to the
-	// float64 kernels — the option is part of the cache fingerprint and is
-	// refused by engines whose byte-stability contract it would break.
-	// Kernel32 disables IncrementalGradient (the delta scatter maintains the
-	// float64 gradient and would diverge from the 32-bit full recompute).
-	Kernel32 bool
-	// IncrementalGradient maintains the gradient across iterations by
-	// scattering only the deltas of coordinates that actually moved
-	// (snippet idiom of the reference GD implementations): once warmed up,
-	// each iteration updates grad[v] += w_uv·(z_u − prev_u) for moved
-	// neighbors u instead of recomputing the full SpMV, with an exact
-	// recompute every ResyncEvery iterations to stop float drift. The
-	// delta scatter is serial and ordered, so results remain bit-identical
-	// at any worker count — but the trajectory differs in the last ulps
-	// from a full-recompute run, so the option is part of the cache
-	// fingerprint and has its own goldens.
-	IncrementalGradient bool
-	// ResyncEvery is the exact-recompute period of IncrementalGradient
-	// (default 16): at most ResyncEvery−1 consecutive incremental updates
-	// run between full SpMVs. 1 disables incremental updates entirely.
-	ResyncEvery int
 }
 
 // DefaultOptions returns the configuration used for the paper's headline
@@ -181,21 +167,7 @@ func (o *Options) normalize() {
 	if o.NoiseScale <= 0 {
 		o.NoiseScale = o.StepLength / float64(o.Iterations)
 	}
-	if o.ResyncEvery <= 0 {
-		o.ResyncEvery = 16
-	}
-	if o.Kernel32 {
-		// The delta scatter maintains grad from float64 deltas of z; under
-		// the 32-bit kernels a full recompute would disagree with the
-		// maintained value, breaking the resync contract.
-		o.IncrementalGradient = false
-	}
 }
-
-// incrementalWarmup is the number of leading iterations that always run the
-// full SpMV before incremental updates may engage: early iterations move
-// every coordinate, so a delta scatter would touch the whole edge set anyway.
-const incrementalWarmup = 3
 
 // IterStats reports the state of GD after one iteration, feeding the
 // convergence plots of Figures 8–10.
@@ -338,23 +310,27 @@ func optimize(wg *coarsen.Graph, opt Options, rng *rand.Rand) (xOut []float64, f
 			x[i] = vecmath.ClampVal(v)
 		}
 	}
-	z := make([]float64, n)
-	grad := make([]float64, n)
 	fixed := make([]bool, n)
 	fixedWeight := make([]float64, d) // C_j = Σ_fixed w(j)·x
 	freeWeight := make([]float64, d)  // Σ_free w(j)
 	copy(freeWeight, totals)
 	fixedCount := 0
 
-	// Compact buffers for the free subproblem.
-	freeIdx := make([]int32, 0, n)
-	yF := make([]float64, n)
-	xF := make([]float64, n)
+	// The active set: freeIdx lists the free vertices in ascending order and
+	// every per-iteration buffer below is compacted alongside it (entry fi
+	// belongs to vertex freeIdx[fi]). The fixing pass compacts them in place,
+	// so the loop never rescans all n vertices.
+	freeIdx := make([]int32, n)
+	for i := range freeIdx {
+		freeIdx[i] = int32(i)
+	}
 	wF := make([][]float64, d)
 	for j := range wF {
-		wF[j] = make([]float64, n)
+		wF[j] = slices.Clone(ws[j])
 	}
-	freeDirty := true
+	gF := make([]float64, n)
+	yF := make([]float64, n)
+	xF := make([]float64, n)
 
 	L := opt.StepLength * math.Sqrt(float64(n)) / float64(opt.Iterations)
 	gammaFrozen := opt.FixedGamma
@@ -363,10 +339,12 @@ func optimize(wg *coarsen.Graph, opt Options, rng *rand.Rand) (xOut []float64, f
 	// Reordering is a kernel-layout detail: the layout runs the register-
 	// blocked gather over a bandwidth-reduced row order but accumulates each
 	// row in its original arc order and scatters through the inverse
-	// permutation, so spmvFull stays bit-identical either way. An injected
-	// prep-cache layout is trusted only if its shape and weighting agree with
-	// this CSR; otherwise the solve rebuilds as if nothing were injected.
+	// permutation into the full-length grad, which is then gathered into gF,
+	// so the gradient is bit-identical either way. An injected prep-cache
+	// layout is trusted only if its shape and weighting agree with this CSR;
+	// otherwise the solve rebuilds as if nothing were injected.
 	var lay *reorder.Layout
+	var grad []float64
 	if opt.Reorder != reorder.None {
 		if opt.Layout != nil && opt.Layout.Matches(wg.Offsets, wg.Adj) &&
 			opt.Layout.Weighted() == (wg.EW != nil) {
@@ -374,182 +352,92 @@ func optimize(wg *coarsen.Graph, opt Options, rng *rand.Rand) (xOut []float64, f
 		} else {
 			lay = reorder.NewLayout(wg.Offsets, wg.Adj, wg.EW, opt.Reorder)
 		}
-	}
-	// The 32-bit path converts z per value each iteration (edge weights only
-	// once — they never change); the layout variant keeps its own permuted
-	// float32 mirrors. Both produce identical bits (rounding is per value,
-	// before any ordering).
-	var x32, ew32 []float32
-	if opt.Kernel32 && lay == nil {
-		x32 = make([]float32, n)
-		if wg.EW != nil {
-			ew32 = make([]float32, len(wg.Adj))
-			vecmath.Convert32Pool(ew32, wg.EW, pool)
-		}
-	}
-	spmvFull := func() {
-		switch {
-		case lay != nil && opt.Kernel32:
-			lay.SpMVMasked32(z, grad, fixed, pool)
-		case lay != nil:
-			lay.SpMVMasked(z, grad, fixed, pool)
-		case opt.Kernel32:
-			vecmath.Convert32Pool(x32, z, pool)
-			vecmath.SpMVBlocked32Pool(wg.Offsets, wg.Adj, ew32, x32, grad, fixed, pool)
-		default:
-			vecmath.SpMVWeightedMaskedPool(wg.Offsets, wg.Adj, wg.EW, z, grad, fixed, pool)
-		}
+		grad = make([]float64, n)
 	}
 
-	// Incremental-gradient state: prevZ is the input the current grad was
-	// computed from; gradValid goes false whenever grad stops being A_w·z
-	// (random-direction fallback); sinceFull counts incremental updates
-	// since the last exact recompute.
-	var prevZ []float64
-	if opt.IncrementalGradient {
-		prevZ = make([]float64, n)
+	// freeSum reduces fn over the free entries in the ORIGINAL n-index chunks
+	// of the pool: each chunk's partial sums the free vertices whose ids fall
+	// in it, in ascending order. Because freeIdx is sorted those entries are
+	// one contiguous range of the compacted arrays, found by binary search.
+	// Chunking by nf instead would regroup the float additions and change
+	// every bit downstream of the step size.
+	freeSum := func(fn func(a, b int) (float64, float64)) (float64, float64) {
+		return pool.ReduceSum2(n, func(lo, hi int) (float64, float64) {
+			a, _ := slices.BinarySearch(freeIdx, int32(lo))
+			b, _ := slices.BinarySearch(freeIdx, int32(hi))
+			return fn(a, b)
+		})
 	}
-	gradValid := false
-	sinceFull := 0
-	// Failed gate checks back off geometrically (capped): early iterations
-	// move every coordinate, so rescanning z against prevZ — and keeping
-	// prevZ fresh — every iteration is pure overhead until the moved set
-	// shrinks. The schedule depends only on the iteration number and the
-	// scan results, so it is identical at every worker count.
-	checkBackoff, skipUntil := 1, 0
+	gradNormSq := func() float64 {
+		s, _ := freeSum(func(a, b int) (float64, float64) {
+			s := 0.0
+			for _, g := range gF[a:b] {
+				s += g * g
+			}
+			return s, 0
+		})
+		return s
+	}
 
 	for t := 0; t < opt.Iterations; t++ {
-		if fixedCount == n {
+		nf := len(freeIdx)
+		if nf == 0 {
 			break
 		}
 		itersRun++
 
-		copy(z, x)
+		// z is the gradient point. After the first iteration it equals x
+		// bit for bit, so the loop reads x directly; only the cold t = 0
+		// noise kick needs a separate vector.
+		z := x
 		if t == 0 && opt.WarmStart == nil {
-			for i := 0; i < n; i++ {
-				if !fixed[i] {
-					z[i] += rng.NormFloat64() * opt.NoiseScale
-				}
+			z = make([]float64, n)
+			copy(z, x)
+			for _, i := range freeIdx {
+				z[i] += rng.NormFloat64() * opt.NoiseScale
 			}
 		}
 
-		incremental := false
-		if opt.IncrementalGradient && gradValid && t >= incrementalWarmup && sinceFull+1 < opt.ResyncEvery {
-			// Delta pass: grad currently equals A_w·prevZ on free rows. Count
-			// the arc work of the moved coordinates first — the serial scatter
-			// must beat the full SpMV, and the full SpMV is masked, so the
-			// fair comparison is against the arcs of the FREE rows (with
-			// vertex fixing on, the masked kernel already skips most of the
-			// graph late in the run). The scatter's random writes cost ~2x a
-			// streaming gather per arc, hence the factor. Both the decision
-			// and the scatter depend only on z/prevZ/fixed, never on the
-			// worker count.
-			movedArcs, freeArcs := int64(0), int64(0)
-			for i := 0; i < n; i++ {
-				deg := wg.Offsets[i+1] - wg.Offsets[i]
-				if !fixed[i] {
-					freeArcs += deg
+		if lay != nil {
+			lay.SpMVMasked(z, grad, fixed, pool)
+			pool.For(nf, func(lo, hi int) {
+				for fi := lo; fi < hi; fi++ {
+					gF[fi] = grad[freeIdx[fi]]
 				}
-				if z[i] != prevZ[i] {
-					movedArcs += deg
-				}
-			}
-			if 2*movedArcs > freeArcs {
-				// Too much moved: pause the checks and let prevZ go stale
-				// (gradValid=false below skips its maintenance cost too).
-				skipUntil = t + checkBackoff
-				if checkBackoff < 8 {
-					checkBackoff *= 2
-				}
-				gradValid = false
-			} else {
-				for u := 0; u < n; u++ {
-					if z[u] == prevZ[u] {
-						continue
-					}
-					d := z[u] - prevZ[u]
-					row := wg.Adj[wg.Offsets[u]:wg.Offsets[u+1]]
-					if wg.EW == nil {
-						for _, v := range row {
-							if !fixed[v] {
-								grad[v] += d
-							}
-						}
-					} else {
-						wrow := wg.EW[wg.Offsets[u]:wg.Offsets[u+1]]
-						for i, v := range row {
-							if !fixed[v] {
-								grad[v] += wrow[i] * d
-							}
-						}
-					}
-					prevZ[u] = z[u]
-				}
-				sinceFull++
-				checkBackoff = 1
-				incremental = true
-			}
-		}
-		if !incremental {
-			spmvFull()
-			sinceFull = 0
-			// Keeping prevZ fresh costs a full vector copy; pay it only if
-			// the next iteration is actually allowed to use it.
-			if opt.IncrementalGradient && t+1 >= skipUntil {
-				copy(prevZ, z)
-				gradValid = true
-			} else {
-				gradValid = false
-			}
+			})
+		} else {
+			vecmath.SpMVRowsPool(wg.Offsets, wg.Adj, wg.EW, z, freeIdx, gF[:nf], pool)
 		}
 		gradIsNoise := false
-		maskedNormSq := func() float64 {
-			return pool.ReduceSum(n, func(lo, hi int) float64 {
-				s := 0.0
-				for i := lo; i < hi; i++ {
-					if !fixed[i] {
-						s += grad[i] * grad[i]
-					}
-				}
-				return s
-			})
-		}
 		var gnorm float64
 		if conv != nil && conv.wantSample(t) {
 			// Sampling iteration: fold the trajectory's Σ z·grad into the
 			// norm reduction so the sample costs one extra vector read, and
-			// take it before the saddle fallback below can overwrite grad.
+			// take it before the saddle fallback below can overwrite gF.
 			// The norm partials accumulate in the same order as the unfused
 			// reduction, so gnorm is bit-identical with tracing off.
-			normSq, freeQuad := pool.ReduceSum2(n, func(lo, hi int) (float64, float64) {
+			normSq, freeQuad := freeSum(func(a, b int) (float64, float64) {
 				s, q := 0.0, 0.0
-				for i := lo; i < hi; i++ {
-					if !fixed[i] {
-						g := grad[i]
-						s += g * g
-						q += z[i] * g
-					}
+				for fi := a; fi < b; fi++ {
+					g := gF[fi]
+					s += g * g
+					q += z[freeIdx[fi]] * g
 				}
 				return s, q
 			})
 			conv.record(t, freeQuad)
 			gnorm = math.Sqrt(normSq)
 		} else {
-			gnorm = math.Sqrt(maskedNormSq())
+			gnorm = math.Sqrt(gradNormSq())
 		}
 		if gnorm < 1e-12 {
 			// Saddle/flat region: fall back to a random direction so the
 			// iteration still makes progress (noise escape, §2.1 Step 1).
-			// grad is no longer A_w·z after this, so the incremental path
-			// must recompute from scratch next iteration.
-			gradValid = false
 			gradIsNoise = true
-			for i := 0; i < n; i++ {
-				if !fixed[i] {
-					grad[i] = rng.NormFloat64()
-				}
+			for fi := range gF[:nf] {
+				gF[fi] = rng.NormFloat64()
 			}
-			gnorm = math.Sqrt(maskedNormSq())
+			gnorm = math.Sqrt(gradNormSq())
 			if gnorm == 0 {
 				break
 			}
@@ -562,21 +450,6 @@ func optimize(wg *coarsen.Graph, opt Options, rng *rand.Rand) (xOut []float64, f
 			gamma = gammaFrozen
 		}
 
-		if freeDirty {
-			freeIdx = freeIdx[:0]
-			for i := 0; i < n; i++ {
-				if !fixed[i] {
-					freeIdx = append(freeIdx, int32(i))
-				}
-			}
-			for j := 0; j < d; j++ {
-				for fi, i := range freeIdx {
-					wF[j][fi] = ws[j][i]
-				}
-			}
-			freeDirty = false
-		}
-		nf := len(freeIdx)
 		cons := make([]project.Constraint, d)
 		for j := 0; j < d; j++ {
 			lo := targets[j] - halves[j] - fixedWeight[j]
@@ -601,8 +474,7 @@ func optimize(wg *coarsen.Graph, opt Options, rng *rand.Rand) (xOut []float64, f
 		for attempt := 0; ; attempt++ {
 			pool.For(nf, func(lo, hi int) {
 				for fi := lo; fi < hi; fi++ {
-					i := freeIdx[fi]
-					yF[fi] = z[i] + gamma*grad[i]
+					yF[fi] = z[freeIdx[fi]] + gamma*gF[fi]
 				}
 			})
 			if err := project.Project(xF[:nf], yF[:nf], cons, opt.Projection, &st); err != nil {
@@ -635,32 +507,54 @@ func optimize(wg *coarsen.Graph, opt Options, rng *rand.Rand) (xOut []float64, f
 		})
 
 		if opt.VertexFixing {
-			for _, i := range freeIdx {
-				if v := x[i]; v >= opt.FixThreshold || v <= -opt.FixThreshold {
-					snapped := 1.0
-					if v < 0 {
-						snapped = -1.0
+			// Fix and compact in ascending order: r reads the active set, w
+			// writes the survivors back, so freeIdx stays sorted. xF[r] is
+			// the value just written to x[freeIdx[r]], read sequentially
+			// instead of gathered, and it decides the same survivors again
+			// when the weight columns are compacted after the pass.
+			free := func(v float64) bool { return !(v >= opt.FixThreshold || v <= -opt.FixThreshold) }
+			w := 0
+			for r, i := range freeIdx {
+				v := xF[r]
+				if free(v) {
+					freeIdx[w] = i
+					w++
+					continue
+				}
+				snapped := 1.0
+				if v < 0 {
+					snapped = -1.0
+				}
+				x[i] = snapped
+				fixed[i] = true
+				fixedCount++
+				for j := 0; j < d; j++ {
+					fixedWeight[j] += wF[j][r] * snapped
+					freeWeight[j] -= wF[j][r]
+				}
+				if conv != nil {
+					// After the saddle fallback gF holds noise, not row sums;
+					// freezing 0 is the honest stand-in (the true sum is ~0
+					// in that flat region anyway).
+					gi := gF[r]
+					if gradIsNoise {
+						gi = 0
 					}
-					x[i] = snapped
-					fixed[i] = true
-					fixedCount++
-					freeDirty = true
-					for j := 0; j < d; j++ {
-						fixedWeight[j] += ws[j][i] * snapped
-						freeWeight[j] -= ws[j][i]
-					}
-					if conv != nil {
-						// After the saddle fallback grad holds noise, not row
-						// sums; freezing 0 is the honest stand-in (the true
-						// sum is ~0 in that flat region anyway).
-						gi := grad[i]
-						if gradIsNoise {
-							gi = 0
+					conv.onFix(gi, snapped)
+				}
+			}
+			if w < nf {
+				for _, wj := range wF {
+					k := 0
+					for r, v := range xF[:nf] {
+						if free(v) {
+							wj[k] = wj[r]
+							k++
 						}
-						conv.onFix(gi, snapped)
 					}
 				}
 			}
+			freeIdx = freeIdx[:w]
 		}
 
 		if opt.Trace != nil {

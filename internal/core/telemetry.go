@@ -15,14 +15,14 @@ import (
 // ExpectedLocalityWeighted pass is one extra SpMV each), so samples are
 // computed in O(n) from state the loop already has.
 //
-// At sample time grad holds the masked gradient A_w·z — exact row sums for
-// every FREE row — so the free half of zᵀA_wz is Σ_{u free} z_u·grad_u, one
-// sequential pass over vectors already hot in cache. Fixed rows are skipped
-// by the masked SpMV, and recovering their true row sums would cost arc-array
-// work the budget does not allow; instead each vertex contributes
-// x_u·(A_w·z)_u frozen at the moment it locks (its gradient entry is still
-// exact that iteration), accumulated into qLocked as an O(1) side effect of
-// the fixing loop:
+// At sample time the loop's active-set gradient holds the exact row sums
+// (A_w·z)_u of the FREE rows only, compacted alongside the free list, so the
+// free half of zᵀA_wz is Σ_{u free} z_u·grad_u, one pass over vectors the
+// norm reduction reads anyway. Fixed rows are never summed, and recovering
+// their true row sums would cost arc-array work the budget does not allow;
+// instead each vertex contributes x_u·(A_w·z)_u frozen at the moment it
+// locks (its gradient entry is still exact that iteration), accumulated
+// into qLocked as an O(1) side effect of the fixing loop:
 //
 //	zᵀA_wz ≈ Σ_{u free} z_u·grad_u + Σ_{u fixed} x_u·(A_w·z(t_u))_u
 //
@@ -36,7 +36,7 @@ import (
 // the trajectory's own final sample, so it is self-consistent with the
 // curve it summarizes.
 //
-// Everything here reduces through the pool's fixed-chunk ReduceSum and a
+// Everything here reduces through the pool's fixed-chunk reductions and a
 // serially-ordered fixing loop, so the recorded values are bit-identical at
 // any worker count, matching the structural determinism of the span tree.
 type convSampler struct {
@@ -82,16 +82,16 @@ func (c *convSampler) onFix(gi, xi float64) {
 }
 
 // wantSample reports whether iteration t falls on the sampling stride. The
-// caller then folds Σ_{u free} z_u·grad_u into the masked-norm reduction it
-// performs anyway and hands the sum to record — fusing the two passes keeps
+// caller then folds Σ_{u free} z_u·grad_u into the gradient-norm reduction
+// it performs anyway and hands the sum to record — fusing the two passes keeps
 // a sample's marginal cost to the one extra z read.
 func (c *convSampler) wantSample(t int) bool {
 	return t%c.stride == 0
 }
 
 // record appends the sample for iteration t. freeQuad must be
-// Σ_{u free} z_u·grad_u with grad the masked gradient A_w·z (computed before
-// any fallback overwrites it).
+// Σ_{u free} z_u·grad_u with grad_u = (A_w·z)_u (computed before any
+// fallback overwrites it).
 func (c *convSampler) record(t int, freeQuad float64) {
 	if c.w == 0 {
 		c.iters = append(c.iters, t)

@@ -30,18 +30,26 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 )
 
-// trace is the shared state of one span tree: the epoch every span offset is
-// relative to, and the mutex serializing all mutation and snapshotting.
-type trace struct {
-	mu    chan struct{} // 1-buffered channel as mutex; avoids sync import cycle concerns and keeps Span copyable-by-pointer only
-	epoch time.Time
-}
+// MaxSpans caps the spans one trace holds, root included, so a live trace
+// can never outgrow its request however much a runaway producer starts.
+// Start past the cap allocates nothing and returns nil (the no-op span);
+// the root's SpanView counts the refusals in DroppedSpans.
+const MaxSpans = 1 << 14
 
-func (t *trace) lock()   { t.mu <- struct{}{} }
-func (t *trace) unlock() { <-t.mu }
+// trace is the shared state of one span tree: the epoch every span offset is
+// relative to, the mutex serializing all mutation and snapshotting, and the
+// span budget.
+type trace struct {
+	mu      sync.Mutex
+	epoch   time.Time
+	root    *Span
+	spans   int // spans held, root included
+	dropped int // Start calls refused at the MaxSpans cap
+}
 
 // Span is one timed region of a trace. Create the root with NewTrace, childs
 // with Start, finish with End, annotate with SetAttr. A nil *Span is a valid
@@ -59,22 +67,28 @@ type Span struct {
 
 // NewTrace starts a new span tree rooted at a span with the given name.
 func NewTrace(name string) *Span {
-	tr := &trace{mu: make(chan struct{}, 1), epoch: time.Now()}
-	return &Span{tr: tr, name: name}
+	tr := &trace{epoch: time.Now(), spans: 1}
+	tr.root = &Span{tr: tr, name: name}
+	return tr.root
 }
 
 // Start creates and returns a child span, started now. Call from the
 // goroutine that owns s (or before forking work to children): sibling order
 // is creation order, and the determinism contract requires creation order to
-// be schedule-independent.
+// be schedule-independent. Past the trace's MaxSpans cap it returns nil.
 func (s *Span) Start(name string) *Span {
 	if s == nil {
 		return nil
 	}
+	s.tr.mu.Lock()
+	defer s.tr.mu.Unlock()
+	if s.tr.spans >= MaxSpans {
+		s.tr.dropped++
+		return nil
+	}
+	s.tr.spans++
 	c := &Span{tr: s.tr, name: name, start: time.Since(s.tr.epoch)}
-	s.tr.lock()
 	s.children = append(s.children, c)
-	s.tr.unlock()
 	return c
 }
 
@@ -84,12 +98,12 @@ func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	s.tr.lock()
+	s.tr.mu.Lock()
 	if !s.ended {
 		s.ended = true
 		s.dur = time.Since(s.tr.epoch) - s.start
 	}
-	s.tr.unlock()
+	s.tr.mu.Unlock()
 }
 
 // SetAttr attaches (or overwrites) one attribute. Values must be
@@ -99,12 +113,12 @@ func (s *Span) SetAttr(key string, v any) {
 	if s == nil {
 		return
 	}
-	s.tr.lock()
+	s.tr.mu.Lock()
 	if s.attrs == nil {
 		s.attrs = make(map[string]any, 4)
 	}
 	s.attrs[key] = v
-	s.tr.unlock()
+	s.tr.mu.Unlock()
 }
 
 // Snapshot deep-copies the tree rooted at s into an immutable view, safe to
@@ -113,8 +127,8 @@ func (s *Span) Snapshot() *SpanView {
 	if s == nil {
 		return nil
 	}
-	s.tr.lock()
-	defer s.tr.unlock()
+	s.tr.mu.Lock()
+	defer s.tr.mu.Unlock()
 	return s.view()
 }
 
@@ -125,6 +139,9 @@ func (s *Span) view() *SpanView {
 		StartUS: s.start.Microseconds(),
 		DurUS:   s.dur.Microseconds(),
 		Ended:   s.ended,
+	}
+	if s == s.tr.root {
+		v.DroppedSpans = s.tr.dropped
 	}
 	if len(s.attrs) > 0 {
 		v.Attrs = make(map[string]any, len(s.attrs))
@@ -147,9 +164,12 @@ type SpanView struct {
 	DurUS   int64  `json:"dur_us"`
 	// Ended reports whether End had run when the snapshot was taken; a span
 	// still false after its request finished is a span-accounting leak.
-	Ended    bool           `json:"ended"`
-	Attrs    map[string]any `json:"attrs,omitempty"`
-	Children []*SpanView    `json:"children,omitempty"`
+	Ended bool `json:"ended"`
+	// DroppedSpans, set on the root only, counts the spans refused at the
+	// MaxSpans cap; a nonzero value means the tree below is truncated.
+	DroppedSpans int            `json:"dropped_spans,omitempty"`
+	Attrs        map[string]any `json:"attrs,omitempty"`
+	Children     []*SpanView    `json:"children,omitempty"`
 }
 
 // Structure renders the deterministic part of the tree — names, sorted

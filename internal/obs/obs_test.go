@@ -60,18 +60,16 @@ func TestStructureExcludesTiming(t *testing.T) {
 }
 
 func TestSnapshotWhileLive(t *testing.T) {
+	// The producer stops by count: an unbounded one outruns snapshots that
+	// each cost O(children) on a contended CPU, and memory grows without
+	// limit.
+	const spans = 2000
 	root := NewTrace("r")
 	var wg sync.WaitGroup
-	stop := make(chan struct{})
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
+		for i := 0; i < spans; i++ {
 			c := root.Start("c")
 			c.SetAttr("i", i)
 			c.End()
@@ -83,8 +81,54 @@ func TestSnapshotWhileLive(t *testing.T) {
 			t.Fatalf("marshal live snapshot: %v", err)
 		}
 	}
-	close(stop)
 	wg.Wait()
+	if n := root.Snapshot().CountSpans(); n != spans+1 {
+		t.Fatalf("final snapshot has %d spans, want %d", n, spans+1)
+	}
+}
+
+// TestSpanCapBoundsRunawayProducer: a producer starting spans without end
+// leaves the trace at MaxSpans; every refused Start returns the nil no-op
+// span and is counted on the root view.
+func TestSpanCapBoundsRunawayProducer(t *testing.T) {
+	const extra = 500
+	root := NewTrace("r")
+	child := root.Start("child")
+	for i := 0; i < MaxSpans+extra; i++ {
+		parent := root
+		if i%2 == 1 {
+			parent = child
+		}
+		c := parent.Start("c")
+		c.SetAttr("i", i)
+		c.End()
+	}
+	if c := root.Start("late"); c != nil || c.Start("grandchild") != nil {
+		t.Fatal("Start past the cap returned a live span")
+	}
+	v := root.Snapshot()
+	if n := v.CountSpans(); n != MaxSpans {
+		t.Fatalf("trace holds %d spans, want the cap %d", n, MaxSpans)
+	}
+	// Every Start past the cap was refused: child, the loop and "late" asked
+	// for MaxSpans+extra+2 spans beyond the root, and MaxSpans-1 fit. The nil
+	// span's own Start is a no-op and counts nothing.
+	if want := extra + 3; v.DroppedSpans != want {
+		t.Fatalf("dropped_spans = %d, want %d", v.DroppedSpans, want)
+	}
+	if d := child.Snapshot().DroppedSpans; d != 0 {
+		t.Fatalf("non-root view reports dropped_spans = %d, want 0", d)
+	}
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(b), `"dropped_spans":`) {
+		t.Fatal("root JSON lacks dropped_spans")
+	}
+	if b, _ := json.Marshal(NewTrace("ok").Snapshot()); strings.Contains(string(b), "dropped_spans") {
+		t.Fatal("an untruncated trace should omit dropped_spans")
+	}
 }
 
 func TestEndIdempotent(t *testing.T) {

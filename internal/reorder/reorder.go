@@ -222,11 +222,9 @@ type Layout struct {
 
 	// Per-instance scratch, allocated lazily on first use so cached layouts
 	// (and fresh clones) cost nothing until they actually run an SpMV.
-	xp   []float64
-	yp   []float64
-	fp   []bool
-	xp32 []float32
-	ew32 []float32 // permuted float32 mirror of ew, built on first 32-bit SpMV
+	xp []float64
+	yp []float64
+	fp []bool
 }
 
 // NewLayout builds the reordered mirror of the given weighted CSR adjacency
@@ -351,68 +349,6 @@ func (l *Layout) SpMVMasked(x, dst []float64, fixed []bool, p *vecmath.Pool) {
 		}
 	})
 	vecmath.SpMVBlockedPool(l.offsets, l.adj, l.ew, l.xp, l.yp, l.fp, p)
-	p.For(n, func(lo, hi int) {
-		for nv := lo; nv < hi; nv++ {
-			if !l.fp[nv] {
-				dst[l.Perm[nv]] = l.yp[nv]
-			}
-		}
-	})
-}
-
-// scratch32 ensures the float32 gather scratch (and the permuted float32
-// edge-weight mirror, when the layout is weighted) is allocated.
-func (l *Layout) scratch32(masked bool) {
-	n := len(l.Perm)
-	if l.xp32 == nil {
-		l.xp32 = make([]float32, n)
-	}
-	if l.yp == nil {
-		l.yp = make([]float64, n)
-	}
-	if masked && l.fp == nil {
-		l.fp = make([]bool, n)
-	}
-	if l.ew != nil && l.ew32 == nil {
-		l.ew32 = make([]float32, len(l.ew))
-		for i, w := range l.ew {
-			l.ew32[i] = float32(w)
-		}
-	}
-}
-
-// SpMVMasked32 is SpMVMasked through the float32 gather kernel: x is mirrored
-// into the permuted index space rounded to float32, the register-blocked
-// 32-bit kernel accumulates each row in float64 in its original arc order,
-// and results scatter back through Perm. The output is bit-identical to
-// vecmath.SpMV32WeightedMaskedPool over the unreordered CSR with x and ew
-// converted elementwise — the float32 rounding happens per value, before any
-// ordering — at any worker count.
-func (l *Layout) SpMVMasked32(x, dst []float64, fixed []bool, p *vecmath.Pool) {
-	n := len(l.Perm)
-	l.scratch32(fixed != nil)
-	if fixed == nil {
-		p.For(n, func(lo, hi int) {
-			for nv := lo; nv < hi; nv++ {
-				l.xp32[nv] = float32(x[l.Perm[nv]])
-			}
-		})
-		vecmath.SpMVBlocked32Pool(l.offsets, l.adj, l.ew32, l.xp32, l.yp, nil, p)
-		p.For(n, func(lo, hi int) {
-			for nv := lo; nv < hi; nv++ {
-				dst[l.Perm[nv]] = l.yp[nv]
-			}
-		})
-		return
-	}
-	p.For(n, func(lo, hi int) {
-		for nv := lo; nv < hi; nv++ {
-			ov := l.Perm[nv]
-			l.xp32[nv] = float32(x[ov])
-			l.fp[nv] = fixed[ov]
-		}
-	})
-	vecmath.SpMVBlocked32Pool(l.offsets, l.adj, l.ew32, l.xp32, l.yp, l.fp, p)
 	p.For(n, func(lo, hi int) {
 		for nv := lo; nv < hi; nv++ {
 			if !l.fp[nv] {

@@ -233,72 +233,3 @@ func TestLayoutCloneSharesImmutableParts(t *testing.T) {
 		t.Fatalf("clone accounts %d bytes, original %d", cl.Bytes(), l.Bytes())
 	}
 }
-
-// TestLayoutSpMV32MatchesUnreordered: the layout's float32 path must be
-// bit-identical to the checked 32-bit kernel over the unreordered CSR with
-// elementwise-converted inputs.
-func TestLayoutSpMV32MatchesUnreordered(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		g    *graph.Graph
-	}{
-		{"random", randomGraph(61, 5000, 22000)},
-		{"band", bandGraph(67, 3000, 3)},
-	} {
-		offsets, adj := tc.g.CSR()
-		n := tc.g.N()
-		rng := rand.New(rand.NewSource(71))
-		ew := make([]float64, len(adj))
-		for i := range ew {
-			ew[i] = rng.Float64()*2 - 0.5
-		}
-		x := make([]float64, n)
-		for i := range x {
-			x[i] = rng.NormFloat64()
-		}
-		fixed := make([]bool, n)
-		for i := range fixed {
-			fixed[i] = rng.Intn(5) == 0
-		}
-		x32 := make([]float32, n)
-		for i := range x32 {
-			x32[i] = float32(x[i])
-		}
-		ew32 := make([]float32, len(ew))
-		for i := range ew32 {
-			ew32[i] = float32(ew[i])
-		}
-		for _, m := range []Method{Degree, RCM} {
-			for _, weights := range []string{"unit", "weighted"} {
-				w, w32 := ew, ew32
-				if weights == "unit" {
-					w, w32 = nil, nil
-				}
-				l := NewLayout(offsets, adj, w, m)
-				for _, mask := range []string{"nil", "masked"} {
-					f := fixed
-					if mask == "nil" {
-						f = nil
-					}
-					for _, workers := range []int{1, 2, 8} {
-						p := vecmath.NewPool(workers)
-						want := make([]float64, n)
-						got := make([]float64, n)
-						for i := range want {
-							want[i] = 7.25
-							got[i] = 7.25
-						}
-						vecmath.SpMV32WeightedMaskedPool(offsets, adj, w32, x32, want, f, p)
-						l.SpMVMasked32(x, got, f, p)
-						for i := range want {
-							if want[i] != got[i] {
-								t.Fatalf("%s %v %s/%s workers=%d: dst[%d]=%v want %v",
-									tc.name, m, weights, mask, workers, i, got[i], want[i])
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -254,37 +255,16 @@ func TestPrepConcurrentSameGraph(t *testing.T) {
 	}
 }
 
-// TestKernel32Param covers the float32-kernel opt-in at the HTTP surface:
-// accepted on gradient engines (and forking the result-cache key, since the
-// option is fingerprinted), refused with a 400 on engines that cannot honor
-// it and on the incompatible incgrad combination.
+// TestKernel32Param: the float32 and incremental-gradient kernels are gone,
+// so their query parameters are unknown and refused with a 400 rather than
+// silently solved with the float64 full-recompute kernel.
 func TestKernel32Param(t *testing.T) {
 	_, body := testGraph(t, 6)
 	_, ts := startServer(t, Config{Workers: 1})
-
-	a64 := solveAndFetch(t, ts, "k=4&seed=7&engine=gd", body)
-	a32 := solveAndFetch(t, ts, "k=4&seed=7&engine=gd&kernel32=true", body)
-	if h := metric(t, ts, "mdbgpd_cache_hits_total"); h != 0 {
-		t.Fatalf("kernel32=true shared a result-cache entry with the float64 solve (%g hits)", h)
-	}
-	// Same determinism contract, different rounding: both are valid
-	// assignments of the same length.
-	if len(a64) == 0 || len(a32) == 0 {
-		t.Fatal("empty assignment")
-	}
-	// Re-submitting the kernel32 solve hits its own cache entry.
-	solveAndFetch(t, ts, "k=4&seed=7&engine=gd&kernel32=true", body)
-	if h := metric(t, ts, "mdbgpd_cache_hits_total"); h != 1 {
-		t.Fatalf("repeat kernel32 solve: %g result-cache hits, want 1", h)
-	}
-
-	for _, q := range []string{
-		"k=4&engine=fennel&kernel32=true",
-		"k=4&engine=metis&kernel32=true",
-		"k=4&engine=gd&kernel32=true&incgrad=true",
-	} {
-		if code, m := submit(t, ts, q, body); code != http.StatusBadRequest {
-			t.Fatalf("submit %q: status %d (%v), want 400", q, code, m)
+	for _, q := range []string{"kernel32=true", "incgrad=true", "resync=4"} {
+		code, m := submit(t, ts, "k=4&engine=gd&"+q, body)
+		if code != http.StatusBadRequest || !strings.Contains(m["error"].(string), "unknown query parameter") {
+			t.Fatalf("removed parameter %s: %d %v", q, code, m)
 		}
 	}
 }

@@ -375,10 +375,9 @@ type submitRequest struct {
 
 var allowedParams = map[string]bool{
 	"k": true, "eps": true, "dims": true, "iters": true, "step": true,
-	"projection": true, "seed": true, "engine": true, "multilevel": true,
+	"projection": true, "seed": true, "engine": true,
 	"coarsento": true, "clustersize": true, "refineiters": true,
-	"reorder": true, "incgrad": true, "resync": true, "kernel32": true,
-	"wait": true, "base": true,
+	"reorder": true, "wait": true, "base": true,
 }
 
 func parseSubmit(r *http.Request) (submitRequest, error) {
@@ -444,15 +443,6 @@ func parseSubmit(r *http.Request) (submitRequest, error) {
 		return nil
 	}
 	req.opts.Engine = q.Get("engine")
-	if err := boolParam("multilevel", &req.opts.Multilevel); err != nil {
-		return req, err
-	}
-	// multilevel= is the deprecated alias for engine=multilevel; a request
-	// naming both with different meanings is contradictory, and silently
-	// letting one win would surprise whichever client loses.
-	if req.opts.Multilevel && req.opts.Engine != "" && req.opts.Engine != "multilevel" {
-		return req, fmt.Errorf("conflicting engine=%s and multilevel=true (multilevel is an alias for engine=multilevel)", req.opts.Engine)
-	}
 	eng, err := mdbgp.LookupEngine(req.opts.Canonical().Engine)
 	if err != nil {
 		return req, err // unknown engine: the error lists the known names
@@ -473,30 +463,6 @@ func parseSubmit(r *http.Request) (submitRequest, error) {
 	req.opts.Reorder = q.Get("reorder")
 	if err := mdbgp.ValidateReorder(req.opts.Reorder); err != nil {
 		return req, err
-	}
-	if err := boolParam("incgrad", &req.opts.IncrementalGradient); err != nil {
-		return req, err
-	}
-	if err := intParam("resync", &req.opts.ResyncEvery); err != nil {
-		return req, err
-	}
-	if req.opts.ResyncEvery < 0 {
-		return req, fmt.Errorf("resync=%d out of range (want >= 0; 0 selects the default)", req.opts.ResyncEvery)
-	}
-	if err := boolParam("kernel32", &req.opts.Kernel32); err != nil {
-		return req, err
-	}
-	// kernel32 is validated at submit time for the same reason projection is:
-	// the engine would refuse it anyway (it is fingerprinted, so an ignored
-	// flag would split cache keys between byte-identical results), and a 400
-	// here beats a failed job later.
-	if req.opts.Kernel32 {
-		if !req.engine.Kernel32 {
-			return req, fmt.Errorf("engine %q does not support kernel32 (float32 gradient kernels); use a gradient engine", req.engine.Name)
-		}
-		if req.opts.IncrementalGradient {
-			return req, fmt.Errorf("kernel32 and incgrad are mutually exclusive (incremental updates assume the float64 kernels)")
-		}
 	}
 	req.base = q.Get("base")
 	req.dimsExplicit = q.Get("dims") != ""

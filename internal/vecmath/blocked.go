@@ -139,3 +139,41 @@ func SpMVBlockedPool(offsets []int64, adj []int32, ew []float64, x, dst []float6
 		}
 	})
 }
+
+// SpMVRowsPool computes dst[k] = (A_w·x)_{rows[k]} for every listed row of
+// a raw weighted CSR adjacency (ew == nil means unit weights): the gradient
+// of GD's active set, where rows are the free vertices and dst is compacted
+// alongside them, so fixed rows cost nothing — not even a mask test. Each
+// row sums its arcs left to right exactly like SpMVWeightedMaskedPool, so
+// dst[k] is bit-identical to that kernel's output at row rows[k], at any
+// worker count. Rows are not register-blocked: in ingest order neighboring
+// free rows have unrelated degrees, so four-row groups would mostly run
+// their tails serially anyway.
+//
+// Like SpMVBlockedPool it gathers with unchecked loads and REQUIRES the CSR
+// validity invariant (every adj[i] in [0, len(x))) and rows within
+// [0, len(offsets)-1); slice-length mismatches are rejected up front.
+func SpMVRowsPool(offsets []int64, adj []int32, ew []float64, x []float64, rows []int32, dst []float64, p *Pool) {
+	n := len(offsets) - 1
+	if len(x) != n || len(dst) < len(rows) || int64(len(adj)) != offsets[n] {
+		panic("vecmath: SpMVRowsPool vector/offset length mismatch")
+	}
+	if ew != nil && len(ew) != len(adj) {
+		panic("vecmath: SpMVRowsPool edge-weight length mismatch")
+	}
+	if len(adj) == 0 {
+		clear(dst[:len(rows)])
+		return
+	}
+	xb := unsafe.Pointer(&x[0])
+	ab := unsafe.Pointer(&adj[0])
+	var eb unsafe.Pointer
+	if ew != nil {
+		eb = unsafe.Pointer(&ew[0])
+	}
+	p.For(len(rows), func(lo, hi int) {
+		for k, v := range rows[lo:hi] {
+			dst[lo+k] = spmvRowUnsafe(ab, eb, xb, offsets[v], offsets[v+1], 0)
+		}
+	})
+}

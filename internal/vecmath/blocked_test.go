@@ -125,3 +125,44 @@ func TestSpMVBlockedRejectsMismatchedLengths(t *testing.T) {
 		}()
 	}
 }
+
+// TestSpMVRowsMatchesMaskedBitwise: the active-set kernel's compacted output
+// must equal the masked kernel's output at every listed (free) row, bit for
+// bit, for unit and weighted arcs at any worker count.
+func TestSpMVRowsMatchesMaskedBitwise(t *testing.T) {
+	for _, n := range []int{5, 4099, 9000} {
+		offsets, adj, ew, x, fixed := blockedCase(int64(n), n, 4*n)
+		var rows []int32
+		for v, f := range fixed {
+			if !f {
+				rows = append(rows, int32(v))
+			}
+		}
+		for _, w := range [][]float64{nil, ew} {
+			want := make([]float64, n)
+			SpMVWeightedMaskedPool(offsets, adj, w, x, want, fixed, nil)
+			for _, workers := range []int{1, 2, 8} {
+				got := make([]float64, len(rows))
+				SpMVRowsPool(offsets, adj, w, x, rows, got, NewPool(workers))
+				for k, v := range rows {
+					if got[k] != want[v] {
+						t.Fatalf("n=%d weighted=%t workers=%d: row %d = %v, want %v",
+							n, w != nil, workers, v, got[k], want[v])
+					}
+				}
+			}
+		}
+	}
+	// An arcless graph yields zero row sums; a short x is rejected.
+	dst := []float64{7, 7}
+	SpMVRowsPool([]int64{0, 0, 0}, nil, nil, []float64{1, 2}, []int32{0, 1}, dst, nil)
+	if dst[0] != 0 || dst[1] != 0 {
+		t.Fatalf("arcless rows = %v, want zeros", dst)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("length mismatch accepted")
+		}
+	}()
+	SpMVRowsPool([]int64{0, 1, 2}, []int32{1, 0}, nil, []float64{1}, []int32{0}, dst, nil)
+}

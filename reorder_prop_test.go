@@ -1,20 +1,14 @@
 package mdbgp
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
-// Property tests for the vertex-reordering and incremental-gradient knobs.
+// Property tests for the vertex-reordering knob.
 //
 // Reorder is a kernel-layout detail with a hard contract: for any engine,
 // any ordering and any worker count, the partition is byte-identical to the
 // unreordered run (the layout keeps per-row arc order, so per-coordinate
 // floating-point sums associate exactly as before, and results scatter back
-// through the inverse permutation). IncrementalGradient is the opposite kind
-// of knob — a genuinely different trajectory in the last ulps — so it gets
-// its own golden rather than an identity claim; what it shares with Reorder
-// is worker-count invariance.
+// through the inverse permutation).
 
 // TestReorderByteIdentityAcrossEngines: every registered engine × every
 // ordering × workers {1, 2, 8} produces the exact partition of the
@@ -66,8 +60,7 @@ func TestReorderRejectsUnknownOrdering(t *testing.T) {
 }
 
 // TestFingerprintReorderPairwiseDistinct: orderings are part of the request
-// fingerprint, so no two orderings (or incremental-gradient configurations)
-// may collide on a cache key — a collision would serve one ordering's cached
+// fingerprint, so no two orderings may collide on a cache key — a collision would serve one ordering's cached
 // result for another's request.
 func TestFingerprintReorderPairwiseDistinct(t *testing.T) {
 	base := Options{K: 4, Seed: 42}
@@ -79,50 +72,11 @@ func TestFingerprintReorderPairwiseDistinct(t *testing.T) {
 		fps = append(fps, o.Fingerprint())
 		labels = append(labels, "reorder="+ord)
 	}
-	for _, inc := range []Options{
-		{K: 4, Seed: 42, IncrementalGradient: true},
-		{K: 4, Seed: 42, IncrementalGradient: true, ResyncEvery: 4},
-		{K: 4, Seed: 42, IncrementalGradient: true, Reorder: "degree"},
-	} {
-		fps = append(fps, inc.Fingerprint())
-		labels = append(labels, fmt.Sprintf("incgrad resync=%d reorder=%q", inc.ResyncEvery, inc.Reorder))
-	}
 	for i := range fps {
 		for j := i + 1; j < len(fps); j++ {
 			if fps[i] == fps[j] {
 				t.Fatalf("fingerprint collision between %s and %s", labels[i], labels[j])
 			}
 		}
-	}
-}
-
-// TestGoldenIncrementalGradient pins the incremental-gradient trajectory
-// (with the reordered kernel layered on top — the combination the daemon's
-// speed-of-light configuration runs) and doubles as its cross-worker
-// determinism anchor: the delta scatter is serial and ordered, so workers
-// 1, 2 and 8 must all reproduce the committed bytes.
-func TestGoldenIncrementalGradient(t *testing.T) {
-	g := goldenGraph(t)
-	opts := Options{
-		K: 2, Seed: 42, Iterations: 60,
-		IncrementalGradient: true, Reorder: "degree",
-	}
-	res, err := Partition(g, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sanity(t, g, res, 2, 0.05)
-	checkGolden(t, "incgrad-k2-seed42.parts", res.Assignment)
-	for _, p := range []int{1, 2, 8} {
-		o := opts
-		o.Parallelism = p
-		wres, err := Partition(g, o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if *update {
-			continue
-		}
-		checkGolden(t, "incgrad-k2-seed42.parts", wres.Assignment)
 	}
 }

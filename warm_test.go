@@ -35,7 +35,10 @@ func TestWarmDeterminismAcrossWorkers(t *testing.T) {
 	_, target, baseRes, opts := warmScenario(t, 4)
 	for _, multilevel := range []bool{false, true} {
 		o := opts
-		o.Multilevel = multilevel
+		o.Engine = "gd"
+		if multilevel {
+			o.Engine = "multilevel"
+		}
 		var golden []int32
 		for _, p := range []int{1, 2, 8} {
 			o.Parallelism = p
