@@ -386,7 +386,7 @@ func BenchmarkMultilevelVsDirect(b *testing.B) {
 //
 // BenchmarkKernels measures achieved memory bandwidth (GB/s) for the hot
 // kernels of the GD iteration — the SpMV gradient step in its plain, masked,
-// weighted, register-blocked and reordered-layout forms, plus the one-shot
+// weighted, register-blocked and degree-ordered-layout forms, plus the one-shot
 // projection — on the 573k-edge multilevel benchmark graph. cmd/benchjson
 // turns the output into BENCH_kernels.json and CI gates the floors with
 // cmd/benchgate (see .github/workflows/ci.yml, kernels-bench job).
@@ -394,7 +394,7 @@ func BenchmarkMultilevelVsDirect(b *testing.B) {
 // benchKernelGraph is benchMLGraph under a random vertex relabeling: same
 // topology (m = 573104 undirected), but arbitrary ingest ids, modeling real
 // edge lists whose numbering carries no locality. This is the regime vertex
-// reordering exists for; on the unshuffled SBM ids the ordering is already
+// reordering targets; on the unshuffled SBM ids the ordering is already
 // near-optimal and every kernel runs at the roofline.
 func benchKernelGraph() *Graph {
 	g, _ := gen.SBM(gen.SBMConfig{
@@ -434,7 +434,6 @@ func BenchmarkKernels(b *testing.B) {
 	spmvBytes := float64(12*nnz + 16*n + 8*(n+1))
 
 	layDeg := reorder.NewLayout(offsets, adj, nil, reorder.Degree)
-	layRCM := reorder.NewLayout(offsets, adj, nil, reorder.RCM)
 
 	gbps := func(bytes float64, fn func()) float64 {
 		fn() // warm caches and pool
@@ -446,7 +445,7 @@ func BenchmarkKernels(b *testing.B) {
 		return bytes * reps / time.Since(start).Seconds() / 1e9
 	}
 
-	var plain, masked, weighted, blocked, layoutDeg, layoutRCM, proj float64
+	var plain, masked, weighted, blocked, layoutDeg, proj float64
 	projBytes := float64(8 * n * 4) // y, dst, and two constraint weight rows
 	py := make([]float64, n)
 	copy(py, x)
@@ -471,7 +470,6 @@ func BenchmarkKernels(b *testing.B) {
 		weighted = gbps(spmvBytes, func() { vecmath.SpMVWeightedMaskedPool(offsets, adj, ew, x, dst, nil, pool) })
 		blocked = gbps(spmvBytes, func() { vecmath.SpMVBlockedPool(offsets, adj, nil, x, dst, nil, pool) })
 		layoutDeg = gbps(spmvBytes, func() { layDeg.SpMVMasked(x, dst, nil, pool) })
-		layoutRCM = gbps(spmvBytes, func() { layRCM.SpMVMasked(x, dst, nil, pool) })
 		proj = gbps(projBytes, func() {
 			if err := project.Project(pdst, py, cons, popt, st); err != nil {
 				b.Fatal(err)
@@ -484,41 +482,36 @@ func BenchmarkKernels(b *testing.B) {
 	b.ReportMetric(weighted, "spmv_weighted_gbps")
 	b.ReportMetric(blocked, "spmv_blocked_gbps")
 	b.ReportMetric(layoutDeg, "spmv_layout_degree_gbps")
-	b.ReportMetric(layoutRCM, "spmv_layout_rcm_gbps")
 	b.ReportMetric(proj, "projection_gbps")
-	// The headline claim: the register-blocked kernel over the degree-sorted
-	// layout — the exact production path selected by Options.Reorder — against
-	// the plain kernel on the ingest-order CSR, both bit-identical results.
+	// The register-blocked kernel over the degree-sorted layout against the
+	// plain kernel on the ingest-order CSR, both bit-identical results. This
+	// is a kernel-only figure: the solve runs the free-rows-only kernel by
+	// default, and the layout (the Options.Reorder override, which also
+	// mirrors x and scatters back every iteration) is slower end to end.
 	b.ReportMetric(layoutDeg/plain, "blocked_speedup")
-	b.ReportMetric(float64(reorder.Bandwidth(offsets, adj)), "bandwidth_ingest")
-	b.ReportMetric(float64(layRCM.Bandwidth()), "bandwidth_rcm")
 }
 
-// BenchmarkPrepAmortization measures what the server's prep-artifact cache
-// buys on repeat solves of the same graph: a cold multilevel solve (hierarchy
-// coarsening + reorder layout built inside the engine) against a warm one
-// with both artifacts injected via Options.PrepLayout/PrepHierarchy — the
-// exact path internal/prep serves on a cache hit. The warm and cold solves
-// must be byte-identical (injection amortizes work, never changes bits);
-// the speedup floor is gated in CI (kernels-bench job).
+// BenchmarkPrepAmortization measures what the server's prep cache buys on
+// repeat solves of the same graph: a cold multilevel solve (hierarchy
+// coarsening inside the engine) against a warm one with the hierarchy
+// injected via Options.PrepHierarchy — the exact path internal/prep serves
+// on a cache hit. The warm and cold solves must be byte-identical (injection
+// amortizes work, never changes bits); the speedup floor is gated in CI
+// (kernels-bench job).
 func BenchmarkPrepAmortization(b *testing.B) {
 	g, _ := benchMLGraph()
-	opts := Options{K: 2, Seed: 42, Engine: "multilevel", Reorder: "degree"}.Canonical()
+	opts := Options{K: 2, Seed: 42, Engine: "multilevel"}.Canonical()
 
-	buildPrep := func() (*PreparedLayout, *PreparedHierarchy) {
-		pl, err := PrepareLayout(g, opts.Reorder)
-		if err != nil {
-			b.Fatal(err)
-		}
+	buildPrep := func() *PreparedHierarchy {
 		ph, err := PrepareHierarchy(g, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
-		return pl, ph
+		return ph
 	}
-	warmed := func(pl *PreparedLayout, ph *PreparedHierarchy) Options {
+	warmed := func(ph *PreparedHierarchy) Options {
 		o := opts
-		o.PrepLayout, o.PrepHierarchy = pl, ph
+		o.PrepHierarchy = ph
 		return o
 	}
 
@@ -528,8 +521,7 @@ func BenchmarkPrepAmortization(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pl, ph := buildPrep()
-	warm0, err := Partition(g, warmed(pl, ph))
+	warm0, err := Partition(g, warmed(buildPrep()))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -552,11 +544,11 @@ func BenchmarkPrepAmortization(b *testing.B) {
 		coldSecs += time.Since(start).Seconds()
 
 		start = time.Now()
-		pl, ph := buildPrep()
+		ph := buildPrep()
 		prepSecs += time.Since(start).Seconds()
 
 		start = time.Now()
-		if _, err := Partition(g, warmed(pl, ph)); err != nil {
+		if _, err := Partition(g, warmed(ph)); err != nil {
 			b.Fatal(err)
 		}
 		warmSecs += time.Since(start).Seconds()

@@ -89,7 +89,6 @@ func main() {
 		seed    = flag.Int64("seed", 42, "random seed")
 		par     = flag.Int("p", 0, "GD worker parallelism: 0 = all cores, 1 = serial (results are seed-deterministic either way)")
 		engine  = flag.String("engine", "", "solver engine for the GD role: "+strings.Join(mdbgp.EngineNames(), ", ")+" (default gd)")
-		reord   = flag.String("reorder", "", "vertex reordering for the gradient kernels: "+strings.Join(mdbgp.ReorderNames(), ", ")+" (results are byte-identical either way)")
 		list    = flag.Bool("list", false, "list experiments and exit")
 		quiet   = flag.Bool("quiet", false, "suppress progress logging")
 	)
@@ -119,10 +118,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 		os.Exit(1)
 	}
-	if err := mdbgp.ValidateReorder(*reord); err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		os.Exit(1)
-	}
 	ctx := experiments.NewContext(scaleDiv, *seed, logSink)
 	ctx.Parallelism = *par
 	ctx.Multilevel = *engine == "multilevel"
@@ -130,7 +125,7 @@ func main() {
 	ctx.EngineSolve = func(g *mdbgp.Graph, ws [][]float64, k int) (*mdbgp.Assignment, error) {
 		res, err := mdbgp.Partition(g, mdbgp.Options{
 			Engine: *engine, K: k, Weights: ws,
-			Seed: *seed, Parallelism: *par, Reorder: *reord,
+			Seed: *seed, Parallelism: *par,
 		})
 		if err != nil {
 			return nil, err

@@ -50,7 +50,6 @@ type config struct {
 	deltaPath  string // edge delta applied to the input graph before solving
 	basePath   string // prior assignment to warm-start from
 	warmIters  int
-	reorder    string
 	tracePath  string // span-tree JSON destination ("" = tracing off, "-" = stderr)
 }
 
@@ -71,7 +70,6 @@ func main() {
 	flag.StringVar(&cfg.deltaPath, "delta", "", "edge delta file ('+u v'/'-u v' lines) applied to the input graph before solving")
 	flag.StringVar(&cfg.basePath, "base", "", "prior assignment file ('vertex part' lines) to warm-start from")
 	flag.IntVar(&cfg.warmIters, "warmiters", 0, "warm-started gradient iterations per bisection (0 = a quarter of -iters)")
-	flag.StringVar(&cfg.reorder, "reorder", "", "vertex reordering for the gradient kernels: "+strings.Join(mdbgp.ReorderNames(), ", ")+" (results are byte-identical either way)")
 	flag.StringVar(&cfg.tracePath, "trace", "", "write the solve's span tree (JSON) to this file, or - for stderr; also prints convergence telemetry")
 	flag.Parse()
 	if err := run(cfg); err != nil {
@@ -132,9 +130,6 @@ func open(path string) (io.Reader, func() error, error) {
 
 func run(cfg config) error {
 	if _, err := mdbgp.LookupEngine(cfg.engine); err != nil {
-		return err
-	}
-	if err := mdbgp.ValidateReorder(cfg.reorder); err != nil {
 		return err
 	}
 	reader, closeIn, err := open(cfg.in)
@@ -241,7 +236,6 @@ func run(cfg config) error {
 		Projection: cfg.projection, Seed: cfg.seed, Parallelism: cfg.par,
 		CoarsenTo: cfg.coarsenTo, RefineIterations: cfg.refineIter,
 		WarmAssignment: warm, WarmIterations: cfg.warmIters,
-		Reorder: cfg.reorder,
 	}
 	var trace *mdbgp.Span
 	if cfg.tracePath != "" {

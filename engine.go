@@ -165,12 +165,6 @@ func gdCoreOptions(g *Graph, opts Options) (core.Options, error) {
 		return opt, err
 	}
 	opt.Reorder = m
-	// An injected prep layout rides along only when it was built for exactly
-	// this graph under exactly the requested ordering; the core re-verifies
-	// shape and weighting again before trusting it.
-	if pl := opts.PrepLayout; pl != nil && pl.graph == g && pl.method == m {
-		opt.Layout = pl.layout
-	}
 	opt.Span = opts.Observer
 	if opts.Projection != "" {
 		m, err := project.ParseMethod(opts.Projection)

@@ -1,6 +1,6 @@
 package core
 
-// Coverage for the reordered SpMV layouts: a reordered solve must be
+// Coverage for the degree-ordered SpMV override: a reordered solve must be
 // byte-identical to the plain path.
 
 import (
@@ -20,25 +20,23 @@ func TestReorderByteIdenticalToPlain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range []reorder.Method{reorder.Degree, reorder.BFS, reorder.RCM} {
-		for _, w := range workerCounts {
-			opt.Reorder = m
-			opt.Workers = w
-			res, err := Bisect(g, ws, opt)
-			if err != nil {
-				t.Fatal(err)
+	opt.Reorder = reorder.Degree
+	for _, w := range workerCounts {
+		opt.Workers = w
+		res, err := Bisect(g, ws, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range ref.X {
+			if res.X[i] != ref.X[i] {
+				t.Fatalf("workers=%d: X[%d] = %v, want %v (not byte-identical)",
+					w, i, res.X[i], ref.X[i])
 			}
-			for i := range ref.X {
-				if res.X[i] != ref.X[i] {
-					t.Fatalf("reorder=%v workers=%d: X[%d] = %v, want %v (not byte-identical)",
-						m, w, i, res.X[i], ref.X[i])
-				}
-			}
-			assertSameParts(t, "reorder "+m.String(), ref.Assignment, res.Assignment)
-			if res.Iterations != ref.Iterations || res.RepairMoves != ref.RepairMoves {
-				t.Fatalf("reorder=%v workers=%d: iterations/moves %d/%d, want %d/%d",
-					m, w, res.Iterations, res.RepairMoves, ref.Iterations, ref.RepairMoves)
-			}
+		}
+		assertSameParts(t, "reorder degree", ref.Assignment, res.Assignment)
+		if res.Iterations != ref.Iterations || res.RepairMoves != ref.RepairMoves {
+			t.Fatalf("workers=%d: iterations/moves %d/%d, want %d/%d",
+				w, res.Iterations, res.RepairMoves, ref.Iterations, ref.RepairMoves)
 		}
 	}
 }

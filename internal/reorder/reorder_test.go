@@ -18,8 +18,7 @@ func randomGraph(seed int64, n, m int) *graph.Graph {
 }
 
 // bandGraph builds a path-plus-band graph under a deterministically shuffled
-// labeling, so the ingest order has terrible locality but a bandwidth-
-// reducing ordering can recover a narrow band.
+// labeling, so the ingest order has terrible locality.
 func bandGraph(seed int64, n, width int) *graph.Graph {
 	rng := rand.New(rand.NewSource(seed))
 	label := rng.Perm(n)
@@ -35,7 +34,7 @@ func bandGraph(seed int64, n, width int) *graph.Graph {
 }
 
 func TestParseRoundTrip(t *testing.T) {
-	for _, name := range Names() {
+	for _, name := range []string{"none", "degree"} {
 		m, err := Parse(name)
 		if err != nil {
 			t.Fatalf("Parse(%q): %v", name, err)
@@ -47,20 +46,22 @@ func TestParseRoundTrip(t *testing.T) {
 	if m, err := Parse(""); err != nil || m != None {
 		t.Fatalf("Parse(\"\") = %v, %v; want None", m, err)
 	}
-	if _, err := Parse("hilbert"); err == nil {
-		t.Fatal("Parse(\"hilbert\") succeeded, want error")
+	for _, name := range []string{"hilbert", "bfs", "rcm"} {
+		if _, err := Parse(name); err == nil {
+			t.Fatalf("Parse(%q) succeeded, want error", name)
+		}
 	}
 }
 
 func TestPermutationBijective(t *testing.T) {
-	for _, m := range []Method{None, Degree, BFS, RCM} {
+	for _, m := range []Method{None, Degree} {
 		for _, n := range []int{0, 1, 57, 2000} {
 			g := randomGraph(int64(n)+int64(m)*1000, max(n, 1), 3*n)
 			if n == 0 {
 				g = graph.NewBuilder(0).Build()
 			}
-			offsets, adj := g.CSR()
-			perm, inv := Permutation(offsets, adj, m)
+			offsets, _ := g.CSR()
+			perm, inv := Permutation(offsets, m)
 			if len(perm) != n || len(inv) != n {
 				t.Fatalf("%v n=%d: lengths %d/%d", m, n, len(perm), len(inv))
 			}
@@ -80,41 +81,26 @@ func TestPermutationBijective(t *testing.T) {
 
 func TestPermutationDeterministic(t *testing.T) {
 	g := randomGraph(11, 3000, 12000)
-	offsets, adj := g.CSR()
-	for _, m := range []Method{Degree, BFS, RCM} {
-		p1, _ := Permutation(offsets, adj, m)
-		p2, _ := Permutation(offsets, adj, m)
-		for i := range p1 {
-			if p1[i] != p2[i] {
-				t.Fatalf("%v: permutation not deterministic at %d", m, i)
-			}
+	offsets, _ := g.CSR()
+	p1, _ := Permutation(offsets, Degree)
+	p2, _ := Permutation(offsets, Degree)
+	for i := range p1 {
+		if p1[i] != p2[i] {
+			t.Fatalf("permutation not deterministic at %d", i)
 		}
 	}
 }
 
 func TestDegreeOrdering(t *testing.T) {
 	g := randomGraph(5, 500, 3000)
-	offsets, adj := g.CSR()
-	perm, _ := Permutation(offsets, adj, Degree)
+	offsets, _ := g.CSR()
+	perm, _ := Permutation(offsets, Degree)
 	deg := func(v int32) int64 { return offsets[v+1] - offsets[v] }
 	for i := 1; i < len(perm); i++ {
 		da, db := deg(perm[i-1]), deg(perm[i])
 		if da < db || (da == db && perm[i-1] > perm[i]) {
 			t.Fatalf("degree order violated at %d: (%d,%d) then (%d,%d)",
 				i, perm[i-1], da, perm[i], db)
-		}
-	}
-}
-
-func TestRCMReducesBandwidth(t *testing.T) {
-	g := bandGraph(23, 4000, 4)
-	offsets, adj := g.CSR()
-	before := Bandwidth(offsets, adj)
-	for _, m := range []Method{BFS, RCM} {
-		l := NewLayout(offsets, adj, nil, m)
-		after := l.Bandwidth()
-		if after*4 > before {
-			t.Fatalf("%v: bandwidth %d -> %d, expected at least 4x reduction", m, before, after)
 		}
 	}
 }
@@ -145,7 +131,7 @@ func TestLayoutSpMVBitIdentical(t *testing.T) {
 		for i := range fixed {
 			fixed[i] = rng.Intn(5) == 0
 		}
-		for _, m := range []Method{None, Degree, BFS, RCM} {
+		for _, m := range []Method{None, Degree} {
 			for _, weights := range []string{"unit", "weighted"} {
 				w := ew
 				if weights == "unit" {
@@ -177,59 +163,5 @@ func TestLayoutSpMVBitIdentical(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestLayoutCloneSharesImmutableParts: clones must produce identical SpMV
-// results, be safe to run concurrently, and share the permuted CSR arrays.
-func TestLayoutCloneSharesImmutableParts(t *testing.T) {
-	g := bandGraph(53, 4000, 4)
-	offsets, adj := g.CSR()
-	n := g.N()
-	l := NewLayout(offsets, adj, nil, RCM)
-	if !l.Matches(offsets, adj) {
-		t.Fatal("layout does not match its own CSR")
-	}
-	if l.Matches(offsets[:n], adj) {
-		t.Fatal("Matches accepted a CSR with the wrong vertex count")
-	}
-	rng := rand.New(rand.NewSource(5))
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	want := make([]float64, n)
-	vecmath.SpMVWeightedMaskedPool(offsets, adj, nil, x, want, nil, nil)
-
-	const clones = 8
-	results := make([][]float64, clones)
-	done := make(chan int, clones)
-	for c := 0; c < clones; c++ {
-		go func(c int) {
-			cl := l.Clone()
-			dst := make([]float64, n)
-			p := vecmath.NewPool(1 + c%3)
-			for rep := 0; rep < 3; rep++ {
-				cl.SpMVMasked(x, dst, nil, p)
-			}
-			results[c] = dst
-			done <- c
-		}(c)
-	}
-	for c := 0; c < clones; c++ {
-		<-done
-	}
-	for c, dst := range results {
-		for i := range want {
-			if dst[i] != want[i] {
-				t.Fatalf("clone %d: dst[%d]=%v want %v", c, i, dst[i], want[i])
-			}
-		}
-	}
-	if l.Bytes() <= 0 {
-		t.Fatal("Bytes() must be positive for a non-empty layout")
-	}
-	if cl := l.Clone(); cl.Bytes() != l.Bytes() {
-		t.Fatalf("clone accounts %d bytes, original %d", cl.Bytes(), l.Bytes())
 	}
 }

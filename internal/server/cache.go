@@ -158,7 +158,7 @@ func newGraphCache(capacity int) *graphCache {
 // same-content submission is handed back the SAME *mdbgp.Graph — beyond
 // deduplicating memory, pointer identity is what the prep cache's artifacts
 // are validated against, so canonicalization is what lets a repeat submission
-// (or a zero-churn delta) reuse a prepared layout or hierarchy at all. With
+// reuse a prepared hierarchy at all. With
 // the cache disabled each submission keeps its own instance and prep reuse
 // degrades to per-instance.
 func (c *graphCache) getOrPut(hash string, g *mdbgp.Graph) (*mdbgp.Graph, int) {

@@ -30,32 +30,42 @@ func solveAndFetch(t *testing.T, ts *httptest.Server, query string, body []byte)
 }
 
 // TestPrepCachedSolveByteIdentical is the injection contract end to end: a
-// solve that reuses a cached prep artifact (layout or hierarchy) must produce
-// the same assignment, byte for byte, as a solve that rebuilds it — across
-// every prep-capable engine and at several worker counts. The second request
-// varies iters so it misses the RESULT cache (a real solve runs) while
-// hitting the PREP cache (same graph, same artifact parameters).
+// solve that reuses a cached coarsening hierarchy must produce the same
+// assignment, byte for byte, as a solve that rebuilds it — for both
+// coarsening engines and at several worker counts. The second request varies
+// iters so it misses the RESULT cache (a real solve runs) while hitting the
+// PREP cache (same graph, same hierarchy parameters). The gd engine does not
+// coarsen, so it must leave the prep cache untouched and still match.
 func TestPrepCachedSolveByteIdentical(t *testing.T) {
 	_, body := testGraph(t, 3)
-	engines := []struct{ name, extra string }{
-		{"gd", "&reorder=bfs"},         // layout artifact
-		{"multilevel", "&reorder=bfs"}, // layout + hierarchy artifacts
-		{"metis", ""},                  // hierarchy artifact
+	engines := []struct {
+		name     string
+		coarsens bool
+	}{
+		{"gd", false},
+		{"multilevel", true},
+		{"metis", true},
 	}
 	for _, eng := range engines {
 		for _, workers := range []int{1, 2, 8} {
 			t.Run(fmt.Sprintf("%s_p%d", eng.name, workers), func(t *testing.T) {
 				_, tsCached := startServer(t, Config{Workers: 2, Parallelism: workers})
 				_, tsRebuild := startServer(t, Config{Workers: 2, Parallelism: workers, PrepCacheBytes: -1})
-				prime := "k=4&seed=7&engine=" + eng.name + eng.extra + "&iters=40"
-				reuse := "k=4&seed=7&engine=" + eng.name + eng.extra + "&iters=60"
+				prime := "k=4&seed=7&engine=" + eng.name + "&iters=40"
+				reuse := "k=4&seed=7&engine=" + eng.name + "&iters=60"
 				solveAndFetch(t, tsCached, prime, body)
 				if hits := metric(t, tsCached, "mdbgpd_prep_cache_hits_total"); hits != 0 {
 					t.Fatalf("priming solve hit the prep cache (%g hits) — nothing could have built the artifact yet", hits)
 				}
 				got := solveAndFetch(t, tsCached, reuse, body)
-				if hits := metric(t, tsCached, "mdbgpd_prep_cache_hits_total"); hits == 0 {
+				hits := metric(t, tsCached, "mdbgpd_prep_cache_hits_total")
+				if eng.coarsens && hits == 0 {
 					t.Fatal("repeat solve did not hit the prep cache; injection is not wired")
+				}
+				if !eng.coarsens {
+					if e := metric(t, tsCached, "mdbgpd_prep_cache_entries"); hits != 0 || e != 0 {
+						t.Fatalf("non-coarsening engine used the prep cache: %g hits, %g entries", hits, e)
+					}
 				}
 				want := solveAndFetch(t, tsRebuild, reuse, body)
 				if !bytes.Equal(got, want) {
@@ -66,54 +76,11 @@ func TestPrepCachedSolveByteIdentical(t *testing.T) {
 	}
 }
 
-// TestPrepKeyResolvedReorderMethod audits satellite concern #2: prep-cache
-// keys must derive from the RESOLVED reorder method, so a request riding the
-// fleet-wide -reorder default and a request spelling the same method
-// explicitly share one artifact, while "none" builds nothing and a different
-// method gets its own entry.
-func TestPrepKeyResolvedReorderMethod(t *testing.T) {
-	_, body := testGraph(t, 4)
-	_, ts := startServer(t, Config{Workers: 1, Reorder: "bfs"})
-
-	// No ?reorder=: the fleet default (bfs) applies; first sight builds.
-	solveAndFetch(t, ts, "k=4&seed=7&engine=gd&iters=40", body)
-	if e := metric(t, ts, "mdbgpd_prep_cache_entries"); e != 1 {
-		t.Fatalf("after fleet-default solve: %g entries, want 1 layout", e)
-	}
-	// Explicit ?reorder=bfs must address the SAME artifact — resolved method,
-	// not raw request spelling.
-	solveAndFetch(t, ts, "k=4&seed=7&engine=gd&iters=50&reorder=bfs", body)
-	if h := metric(t, ts, "mdbgpd_prep_cache_hits_total"); h != 1 {
-		t.Fatalf("explicit reorder=bfs got %g prep hits, want 1 (shared with the fleet-default artifact)", h)
-	}
-	// Explicit ?reorder=none opts out of reordering entirely: no lookup, no
-	// build, no new entry.
-	before := metric(t, ts, "mdbgpd_prep_cache_misses_total")
-	solveAndFetch(t, ts, "k=4&seed=7&engine=gd&iters=60&reorder=none", body)
-	if e := metric(t, ts, "mdbgpd_prep_cache_entries"); e != 1 {
-		t.Fatalf("reorder=none changed the entry count to %g", e)
-	}
-	if m := metric(t, ts, "mdbgpd_prep_cache_misses_total"); m != before {
-		t.Fatalf("reorder=none performed a prep lookup (misses %g -> %g)", before, m)
-	}
-	// A different method is a different artifact.
-	solveAndFetch(t, ts, "k=4&seed=7&engine=gd&iters=70&reorder=degree", body)
-	if e := metric(t, ts, "mdbgpd_prep_cache_entries"); e != 2 {
-		t.Fatalf("reorder=degree: %g entries, want 2 distinct layouts", e)
-	}
-}
-
 // TestPrepKeyDerivation pins the key composition directly: every input that
 // shapes an artifact must fork its key. The engines would catch a collision
 // by degrading to a rebuild, but a collision still means one artifact family
 // silently evicting the other on every alternation.
 func TestPrepKeyDerivation(t *testing.T) {
-	if layoutPrepKey("h", "bfs") == layoutPrepKey("h", "degree") {
-		t.Fatal("layout keys collide across methods")
-	}
-	if layoutPrepKey("h1", "bfs") == layoutPrepKey("h2", "bfs") {
-		t.Fatal("layout keys collide across graphs")
-	}
 	base := mdbgp.Options{Engine: "multilevel", Seed: 1, CoarsenTo: 100, ClusterSize: 8}
 	k0 := hierarchyPrepKey("h", base, "deg")
 	vary := map[string]mdbgp.Options{
@@ -133,10 +100,6 @@ func TestPrepKeyDerivation(t *testing.T) {
 	if hierarchyPrepKey("g", base, "deg") == k0 {
 		t.Fatal("hierarchy key ignores the graph hash")
 	}
-	// Layout and hierarchy kinds must never collide even on equal params.
-	if layoutPrepKey("h", "bfs") == hierarchyPrepKey("h", base, "deg") {
-		t.Fatal("artifact kinds collide")
-	}
 }
 
 // TestPrepEvictionMidFlight forces artifact eviction while solves are in
@@ -149,10 +112,10 @@ func TestPrepKeyDerivation(t *testing.T) {
 func TestPrepEvictionMidFlight(t *testing.T) {
 	_, bodyA := testGraph(t, 1)
 	_, bodyB := testGraph(t, 2)
-	const q = "k=4&seed=7&engine=multilevel&reorder=bfs"
+	const q = "k=4&seed=7&engine=multilevel"
 
 	// Probe: solve A once on a generously-budgeted server and read back how
-	// many bytes its artifacts retain, so the real budget tracks the
+	// many bytes its hierarchy retains, so the real budget tracks the
 	// generator instead of hard-coding sizes.
 	_, tsProbe := startServer(t, Config{Workers: 1})
 	solveAndFetch(t, tsProbe, q+"&iters=40", bodyA)
@@ -198,7 +161,7 @@ func TestPrepConcurrentSameGraph(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			q := fmt.Sprintf("k=4&seed=9&engine=multilevel&reorder=bfs&iters=%d&wait=true", 40+10*(i%lanes))
+			q := fmt.Sprintf("k=4&seed=9&engine=multilevel&iters=%d&wait=true", 40+10*(i%lanes))
 			resp, err := http.Post(ts.URL+"/v1/partition?"+q, "text/plain", bytes.NewReader(body))
 			if err != nil {
 				errs <- err
@@ -255,13 +218,14 @@ func TestPrepConcurrentSameGraph(t *testing.T) {
 	}
 }
 
-// TestKernel32Param: the float32 and incremental-gradient kernels are gone,
-// so their query parameters are unknown and refused with a 400 rather than
-// silently solved with the float64 full-recompute kernel.
+// TestKernel32Param: the float32 and incremental-gradient kernels are gone
+// and vertex reordering is off the request surface, so their query
+// parameters are unknown and refused with a 400 rather than silently
+// ignored.
 func TestKernel32Param(t *testing.T) {
 	_, body := testGraph(t, 6)
 	_, ts := startServer(t, Config{Workers: 1})
-	for _, q := range []string{"kernel32=true", "incgrad=true", "resync=4"} {
+	for _, q := range []string{"kernel32=true", "incgrad=true", "resync=4", "reorder=degree"} {
 		code, m := submit(t, ts, "k=4&engine=gd&"+q, body)
 		if code != http.StatusBadRequest || !strings.Contains(m["error"].(string), "unknown query parameter") {
 			t.Fatalf("removed parameter %s: %d %v", q, code, m)
@@ -278,15 +242,15 @@ func TestKernel32Param(t *testing.T) {
 func TestPrepSurvivesResubmission(t *testing.T) {
 	_, body := testGraph(t, 8)
 	_, ts := startServer(t, Config{Workers: 1})
-	solveAndFetch(t, ts, "k=4&seed=7&engine=gd&reorder=bfs&iters=40", body)
-	solveAndFetch(t, ts, "k=4&seed=7&engine=gd&reorder=bfs&iters=50", body)
+	solveAndFetch(t, ts, "k=4&seed=7&engine=multilevel&iters=40", body)
+	solveAndFetch(t, ts, "k=4&seed=7&engine=multilevel&iters=50", body)
 	if h := metric(t, ts, "mdbgpd_prep_cache_hits_total"); h != 1 {
 		t.Fatalf("resubmission got %g prep hits, want 1 (graph canonicalization broken?)", h)
 	}
 
 	_, tsNoGraph := startServer(t, Config{Workers: 1, GraphCacheEntries: -1})
-	solveAndFetch(t, tsNoGraph, "k=4&seed=7&engine=gd&reorder=bfs&iters=40", body)
-	solveAndFetch(t, tsNoGraph, "k=4&seed=7&engine=gd&reorder=bfs&iters=50", body)
+	solveAndFetch(t, tsNoGraph, "k=4&seed=7&engine=multilevel&iters=40", body)
+	solveAndFetch(t, tsNoGraph, "k=4&seed=7&engine=multilevel&iters=50", body)
 	if h := metric(t, tsNoGraph, "mdbgpd_prep_cache_hits_total"); h != 0 {
 		t.Fatalf("without graph canonicalization the stale artifact must not hit (got %g hits)", h)
 	}

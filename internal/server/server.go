@@ -113,22 +113,15 @@ type Config struct {
 	// A cold solve (forced or otherwise) resets the chain to depth zero
 	// (0 = 8, negative disables the limit).
 	MaxChainDepth int
-	// PrepCacheBytes budgets the prep-artifact cache: reorder layouts and
-	// coarsening hierarchies built for one solve are retained (keyed by graph
-	// hash, artifact kind and parameters) and injected into later solves of
+	// PrepCacheBytes budgets the prep-artifact cache: coarsening
+	// hierarchies built for one solve are retained (keyed by graph hash,
+	// engine and coarsening parameters) and injected into later solves of
 	// the same graph, which skip the rebuild. Injection never changes
 	// results — a cached-prep solve is byte-identical to a rebuilt-prep
-	// solve, and the artifacts stay out of option fingerprints — so this is
-	// purely a latency/CPU-for-memory trade (0 = 256 MiB, negative
+	// solve, and the hierarchies stay out of option fingerprints — so this
+	// is purely a latency/CPU-for-memory trade (0 = 256 MiB, negative
 	// disables).
 	PrepCacheBytes int64
-	// Reorder is the vertex-reordering pass applied to the gradient kernels
-	// of submissions that do not pass ?reorder= themselves ("" = none; see
-	// mdbgp.ReorderNames). Reordering never changes results — it is a
-	// throughput default the operator picks for the fleet — but it is part
-	// of the options fingerprint, so flipping it starts a fresh cache
-	// generation.
-	Reorder string
 	// Logger receives structured request/job logs (nil = discard). Every
 	// record carries the job id, so a log line joins against the polling API
 	// and the trace endpoint.
@@ -249,7 +242,7 @@ type Server struct {
 
 	cache  *resultCache
 	graphs *graphCache
-	preps  *prep.Cache       // prepared layouts/hierarchies, keyed per graph
+	preps  *prep.Cache       // prepared coarsening hierarchies, keyed per graph
 	disk   *cachestore.Store // durable tier; nil when Config.CacheDir is empty
 	met    metrics
 	seq    atomic.Int64
@@ -377,7 +370,7 @@ var allowedParams = map[string]bool{
 	"k": true, "eps": true, "dims": true, "iters": true, "step": true,
 	"projection": true, "seed": true, "engine": true,
 	"coarsento": true, "clustersize": true, "refineiters": true,
-	"reorder": true, "wait": true, "base": true,
+	"wait": true, "base": true,
 }
 
 func parseSubmit(r *http.Request) (submitRequest, error) {
@@ -460,10 +453,6 @@ func parseSubmit(r *http.Request) (submitRequest, error) {
 	if err := boolParam("wait", &req.wait); err != nil {
 		return req, err
 	}
-	req.opts.Reorder = q.Get("reorder")
-	if err := mdbgp.ValidateReorder(req.opts.Reorder); err != nil {
-		return req, err
-	}
 	req.base = q.Get("base")
 	req.dimsExplicit = q.Get("dims") != ""
 	dims, names, err := mdbgp.ParseWeightDims(q.Get("dims"))
@@ -499,11 +488,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
-	}
-	// The operator's fleet-wide reordering default applies only when the
-	// client has no opinion; an explicit ?reorder= (including "none") wins.
-	if req.opts.Reorder == "" {
-		req.opts.Reorder = s.cfg.Reorder
 	}
 	// Capability gate: an engine without weighted support balances a fixed
 	// built-in dimension and cannot honor an explicit dims= request — that

@@ -37,8 +37,8 @@ func spmvRowUnsafe(ab, eb, xb unsafe.Pointer, b, e int64, s float64) float64 {
 // left-to-right summation order, bit-identical output at any worker count —
 // but register-blocked: rows run in interleaved groups of four, and the
 // gather x[adj[i]] uses unchecked loads. It is the speed-of-light variant
-// of the gradient kernel for bandwidth-reduced (reordered) layouts, and is
-// what internal/reorder's Layout drives.
+// of the gradient kernel for reordered layouts, and is what
+// internal/reorder's Layout drives.
 //
 // Unlike the checked kernels it REQUIRES the CSR validity invariant: every
 // adj[i] must lie in [0, len(offsets)-1). graph.Graph construction and

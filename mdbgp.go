@@ -357,25 +357,17 @@ type Options struct {
 	// near a good solution, so most of the cold budget would be spent
 	// confirming it. Only used when WarmAssignment is set.
 	WarmIterations int
-	// Reorder selects a vertex-reordering pass applied to the gradient
-	// kernel's memory layout at solve time: "none" (or "", the default),
-	// "degree", "bfs" or "rcm" — see ReorderNames. Reordering is purely a
-	// kernel-layout detail: the permuted CSR keeps every row's arc-summation
-	// order, results are scattered back through the inverse permutation, and
-	// the partition is byte-identical to an unreordered solve at any
-	// Parallelism. Engines that do not run gradient kernels ignore it.
-	// Reorder is still folded into Fingerprint: the layout build has a real
-	// ingest cost, so two requests that differ only in ordering are distinct
-	// requests and never collide on a cache key.
+	// Reorder is a byte-identical, off-by-default override kept for the
+	// benchmark's reorder.* probes: "degree" runs the gradient engines' SpMV
+	// through a degree-ordered copy of the CSR ("" and "none" keep the
+	// default kernel; any other value is rejected by Partition). The permuted
+	// CSR keeps every row's arc-summation order and results are scattered
+	// back through the inverse permutation, so the partition is
+	// byte-identical at any Parallelism. It is slower end to end than the
+	// default free-rows-only kernel (see docs/ARCHITECTURE.md, "Measured,
+	// removed"). Engines that do not run gradient kernels ignore it, and it
+	// is EXCLUDED from Fingerprint.
 	Reorder string
-	// PrepLayout, when non-nil, injects a prebuilt reorder layout (see
-	// PrepareLayout) so gradient engines skip the per-solve layout build when
-	// Reorder names the method the layout was prepared for. Injection can
-	// never change results — a reordered solve is byte-identical to an
-	// unreordered one, and engines re-verify the artifact against the graph
-	// being solved — so the field is deliberately EXCLUDED from Fingerprint
-	// and passed through Canonical untouched, like Observer.
-	PrepLayout *PreparedLayout
 	// PrepHierarchy, when non-nil, injects a prebuilt coarsening hierarchy
 	// (see PrepareHierarchy) so the "multilevel" and "metis" engines skip
 	// their coarsening pass on repeat solves of the same graph. The engines
@@ -397,24 +389,14 @@ type Options struct {
 	Observer *Span
 }
 
-// ReorderNames lists the accepted Options.Reorder values, "none" first.
-func ReorderNames() []string { return reorder.Names() }
-
-// ValidateReorder reports whether name is an accepted Options.Reorder value
-// ("" selects none). Used by front ends to fail fast on typos.
-func ValidateReorder(name string) error {
-	_, err := reorder.Parse(name)
-	return err
-}
-
 // Canonical returns the options with every defaulted field made explicit:
 // Engine resolves to its registry name, K, Epsilon, Iterations, StepLength
 // and Projection take their documented defaults, and the multilevel knobs
 // are normalized — filled in for the multilevel engine, zeroed otherwise
 // (they have no effect then).
 // Partition(g, o) and Partition(g, o.Canonical()) produce identical results.
-// Weights, Parallelism, Observer and the prep-artifact injections
-// (PrepLayout, PrepHierarchy) are passed through untouched.
+// Weights, Parallelism, Reorder, Observer and the PrepHierarchy injection
+// are passed through untouched.
 func (o Options) Canonical() Options {
 	if o.Engine == "" {
 		o.Engine = DefaultEngine
@@ -454,9 +436,6 @@ func (o Options) Canonical() Options {
 	} else {
 		o.WarmIterations = 0 // inert without a warm assignment
 	}
-	if o.Reorder == "" {
-		o.Reorder = reorder.None.String()
-	}
 	return o
 }
 
@@ -465,21 +444,21 @@ func (o Options) Canonical() Options {
 // Graph.HashString for the graph half). Two option values that lead to the
 // same partition fingerprint identically: defaults are made explicit via
 // Canonical, and Parallelism is excluded because results are bit-identical
-// at any worker count — as are the prep-artifact injections (PrepLayout,
-// PrepHierarchy), which amortize preprocessing without changing a single
-// output bit. The engine name is always covered, so distinct engines can
-// never share a cache entry for the same graph.
+// at any worker count — as are Reorder, a byte-identical kernel override,
+// and the PrepHierarchy injection, which amortizes preprocessing without
+// changing a single output bit. The engine name is always covered, so
+// distinct engines can never share a cache entry for the same graph.
 // Weights vectors and the WarmAssignment, when set, contribute their exact
 // contents: a warm-started solve follows a different trajectory than a cold
 // one, so the two must never share a cache entry.
 func (o Options) Fingerprint() string {
 	c := o.Canonical()
 	h := sha256.New()
-	fmt.Fprintf(h, "engine=%s|k=%d|eps=%g|iters=%d|step=%g|proj=%s|seed=%d|noadapt=%t|nofix=%t|coarsen=%d|cluster=%d|refine=%d|warmiters=%d|reorder=%s|dims=%d",
+	fmt.Fprintf(h, "engine=%s|k=%d|eps=%g|iters=%d|step=%g|proj=%s|seed=%d|noadapt=%t|nofix=%t|coarsen=%d|cluster=%d|refine=%d|warmiters=%d|dims=%d",
 		c.Engine, c.K, c.Epsilon, c.Iterations, c.StepLength, c.Projection, c.Seed,
 		c.DisableAdaptiveStep, c.DisableVertexFixing,
 		c.CoarsenTo, c.ClusterSize, c.RefineIterations,
-		c.WarmIterations, c.Reorder, len(c.Weights))
+		c.WarmIterations, len(c.Weights))
 	var buf [8]byte
 	for _, w := range c.Weights {
 		binary.LittleEndian.PutUint64(buf[:], uint64(len(w)))
@@ -529,7 +508,7 @@ func Partition(g *Graph, opts Options) (*Result, error) {
 	}
 	// Reorder is validated centrally so engines that ignore it (no gradient
 	// kernels) still reject typos instead of silently solving.
-	if err := ValidateReorder(c.Reorder); err != nil {
+	if _, err := reorder.Parse(c.Reorder); err != nil {
 		return nil, err
 	}
 	if c.WarmAssignment != nil && !eng.Info().WarmStart {

@@ -8,7 +8,7 @@ import (
 
 func TestCanonicalFillsDefaults(t *testing.T) {
 	c := Options{}.Canonical()
-	want := Options{Engine: "gd", K: 2, Epsilon: 0.05, Iterations: 100, StepLength: 2, Projection: "alternating-oneshot", Reorder: "none"}
+	want := Options{Engine: "gd", K: 2, Epsilon: 0.05, Iterations: 100, StepLength: 2, Projection: "alternating-oneshot"}
 	if !reflect.DeepEqual(c, want) {
 		t.Fatalf("Canonical() = %+v, want %+v", c, want)
 	}
@@ -67,10 +67,13 @@ func TestFingerprintStability(t *testing.T) {
 		t.Fatal("Parallelism leaked into the fingerprint")
 	}
 
-	// Spelled-out inert knobs fingerprint like the zero value: reorder=none
-	// is the default, and a warm budget without a warm start is inert.
-	if (Options{Reorder: "none"}).Fingerprint() != fp {
-		t.Fatal("explicit Reorder=none should fingerprint identically to zero options")
+	// Spelled-out inert knobs fingerprint like the zero value: Reorder is a
+	// byte-identical kernel override, and a warm budget without a warm start
+	// is inert.
+	for _, ord := range []string{"none", "degree"} {
+		if (Options{Reorder: ord}).Fingerprint() != fp {
+			t.Fatalf("Reorder=%s leaked into the fingerprint", ord)
+		}
 	}
 	if (Options{WarmIterations: 5}).Fingerprint() != fp {
 		t.Fatal("WarmIterations without WarmAssignment leaked into the fingerprint")
@@ -91,9 +94,6 @@ func TestFingerprintStability(t *testing.T) {
 		{Engine: "multilevel", ClusterSize: 4},
 		{Engine: "multilevel", RefineIterations: 2},
 		{Weights: [][]float64{{1, 2, 3}}},
-		{Reorder: "degree"},
-		{Reorder: "bfs"},
-		{Reorder: "rcm"},
 	}
 	seen := map[string]int{fp: -1}
 	for i, o := range perturbed {
