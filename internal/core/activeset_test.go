@@ -13,6 +13,7 @@ import (
 	"mdbgp/internal/obs"
 	"mdbgp/internal/project"
 	"mdbgp/internal/vecmath"
+	"mdbgp/internal/weights"
 )
 
 // referenceOptimize is the full-scan gradient loop that optimize's active
@@ -203,7 +204,14 @@ func referenceOptimize(wg *coarsen.Graph, opt Options, rng *rand.Rand) (x []floa
 // multilevel refinement path) × span on/off. The graphs cover an n that is
 // not a multiple of the 4096-row reduction chunk, a run that fixes every
 // vertex before the budget ends, and the saddle fallback (no edges, so
-// every gradient is zero).
+// every gradient is zero). The n = 9001 graph also runs with four balance
+// dimensions and with nearest-face one-shot projection, and a smaller graph
+// with the exact d = 2 projection, so the projection optimize calls without
+// validation is pinned for more than the default method. The exact
+// projection is serial and far slower per call than one-shot, so its graph
+// is smaller than one chunk (where every worker count takes the serial
+// path) and it runs a short budget, one worker count and no spans (span
+// telemetry never touches the projection).
 func TestActiveSetByteIdentical(t *testing.T) {
 	unitWeights := func(n int) [][]float64 {
 		w := make([]float64, n)
@@ -215,13 +223,27 @@ func TestActiveSetByteIdentical(t *testing.T) {
 	sbm, _ := gen.SBM(gen.SBMConfig{N: 9001, Communities: 3, AvgDegree: 12, InFraction: 0.8, Seed: 7})
 	cliques := gen.CliqueChain(2, 20)
 	edgeless := graph.NewBuilder(4097).Build()
+	sbmD4, err := weights.Standard(sbm, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sbmWG := coarsen.Wrap(sbm, vertexEdgeWeights(sbm))
+	small, _ := gen.SBM(gen.SBMConfig{N: 1000, Communities: 3, AvgDegree: 12, InFraction: 0.8, Seed: 7})
+	defaultProj := DefaultOptions().Projection
 	cases := []struct {
 		name string
 		wg   *coarsen.Graph
+		proj project.Options
+		// short caps the iteration budget at 10 and runs only workers=1
+		// without spans.
+		short bool
 	}{
-		{"sbm-n9001", coarsen.Wrap(sbm, vertexEdgeWeights(sbm))},
-		{"cliques-all-fixed", coarsen.Wrap(cliques, vertexEdgeWeights(cliques))},
-		{"edgeless-saddle", coarsen.Wrap(edgeless, unitWeights(edgeless.N()))},
+		{"sbm-n9001", sbmWG, defaultProj, false},
+		{"sbm-n9001-d4", coarsen.Wrap(sbm, sbmD4), defaultProj, false},
+		{"sbm-n9001-nearest-face", sbmWG, project.Options{Method: project.AlternatingOneShot, Center: false}, false},
+		{"sbm-n1000-exact", coarsen.Wrap(small, vertexEdgeWeights(small)), project.Options{Method: project.Exact}, true},
+		{"cliques-all-fixed", coarsen.Wrap(cliques, vertexEdgeWeights(cliques)), defaultProj, false},
+		{"edgeless-saddle", coarsen.Wrap(edgeless, unitWeights(edgeless.N())), defaultProj, false},
 	}
 	type outcome struct {
 		x         []float64
@@ -259,14 +281,21 @@ func TestActiveSetByteIdentical(t *testing.T) {
 			for _, warmStart := range []bool{false, true} {
 				for _, span := range []bool{false, true} {
 					for _, w := range workerCounts {
+						if tc.short && (span || w != 1) {
+							continue
+						}
 						label := fmt.Sprintf("%s fixing=%t warm=%t span=%t workers=%d", tc.name, fixing, warmStart, span, w)
 						opt := DefaultOptions()
 						opt.Seed = 5
 						opt.Workers = w
 						opt.VertexFixing = fixing
+						opt.Projection = tc.proj
 						if warmStart {
 							opt.WarmStart = warm
 							opt.Iterations = 30
+						}
+						if tc.short {
+							opt.Iterations = 10
 						}
 						opt.normalize()
 						want := run(opt, referenceOptimize, tc.wg, span)

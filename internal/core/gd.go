@@ -15,12 +15,26 @@
 // The loop works on an active set. Vertex fixing removes a vertex from the
 // optimization for good, and late in a run only a small fraction of n is
 // still free, so the loop keeps the free vertices as a sorted index list
-// with every per-iteration vector compacted alongside it: the gradient is
-// summed for free rows only, and noise, step, projection, write-back and
-// fixing all cost O(free). Only the SpMV's column reads still reach fixed
-// neighbors. Norms that set the step size are reduced over the pool's
-// original n-index chunks, so the result is byte-identical to a loop that
-// rescans all n vertices every iteration.
+// with every per-iteration vector compacted alongside it. With nf free
+// vertices and d balance constraints, an iteration makes these chunked
+// parallel passes over the nf entries:
+//
+//   - the SpMV, summing the gradient for free rows only (its column reads
+//     are the only accesses that still reach fixed neighbors);
+//   - the gradient-norm reduction that sets the step size;
+//   - per step-doubling attempt: the step, written straight into the
+//     projection's buffer; the one-shot projection, one pass per constraint
+//     plus the cube clamp (project.ProjectUnchecked, with the weights
+//     checked once per run); and the step-norm reduction;
+//   - the write-back into x, which also lists the entries that crossed the
+//     fix threshold.
+//
+// Then a serial loop visits only the newly fixed vertices to snap them and
+// update the fixed and free weight sums, and the active set is compacted by
+// moving the surviving runs between them. An iteration that fixes nothing
+// does no fixing work. Norms that set the step size are reduced over the
+// pool's original n-index chunks, so the result is byte-identical to a loop
+// that rescans all n vertices every iteration.
 package core
 
 import (
@@ -308,8 +322,8 @@ func optimize(wg *coarsen.Graph, opt Options, rng *rand.Rand) (xOut []float64, f
 
 	// The active set: freeIdx lists the free vertices in ascending order and
 	// every per-iteration buffer below is compacted alongside it (entry fi
-	// belongs to vertex freeIdx[fi]). The fixing pass compacts them in place,
-	// so the loop never rescans all n vertices.
+	// belongs to vertex freeIdx[fi]). The fixing step compacts freeIdx and
+	// the weight columns in place; gF and xF are rewritten every iteration.
 	freeIdx := make([]int32, n)
 	for i := range freeIdx {
 		freeIdx[i] = int32(i)
@@ -319,8 +333,15 @@ func optimize(wg *coarsen.Graph, opt Options, rng *rand.Rand) (xOut []float64, f
 		wF[j] = slices.Clone(ws[j])
 	}
 	gF := make([]float64, n)
-	yF := make([]float64, n)
 	xF := make([]float64, n)
+	// fixes[c] lists, in ascending order, the active-set entries of chunk c
+	// (vecmath.ChunkSize entries each) that the last write-back pushed past
+	// the fix threshold. They keep their capacity across iterations.
+	var fixes [][]int32
+	if opt.VertexFixing {
+		fixes = make([][]int32, (n+vecmath.ChunkSize-1)/vecmath.ChunkSize)
+	}
+	cons := make([]project.Constraint, d)
 
 	L := opt.StepLength * math.Sqrt(float64(n)) / float64(opt.Iterations)
 	gammaFrozen := opt.FixedGamma
@@ -433,7 +454,6 @@ func optimize(wg *coarsen.Graph, opt Options, rng *rand.Rand) (xOut []float64, f
 			gamma = gammaFrozen
 		}
 
-		cons := make([]project.Constraint, d)
 		for j := 0; j < d; j++ {
 			lo := targets[j] - halves[j] - fixedWeight[j]
 			hi := targets[j] + halves[j] - fixedWeight[j]
@@ -453,14 +473,17 @@ func optimize(wg *coarsen.Graph, opt Options, rng *rand.Rand) (xOut []float64, f
 			cons[j] = project.Constraint{W: wF[j][:nf], Lo: lo, Hi: hi}
 		}
 
+		// The step is written straight into xF and projected in place; each
+		// doubling attempt recomputes it from z and gF. The weights were
+		// checked once by checkWeights, so the projection skips validation.
 		stepNorm := 0.0
 		for attempt := 0; ; attempt++ {
 			pool.For(nf, func(lo, hi int) {
 				for fi := lo; fi < hi; fi++ {
-					yF[fi] = z[freeIdx[fi]] + gamma*gF[fi]
+					xF[fi] = z[freeIdx[fi]] + gamma*gF[fi]
 				}
 			})
-			if err := project.Project(xF[:nf], yF[:nf], cons, opt.Projection, &st); err != nil {
+			if err := project.ProjectUnchecked(xF[:nf], xF[:nf], cons, opt.Projection, &st); err != nil {
 				return nil, nil, 0, nil, nil, nil,
 					fmt.Errorf("core: projection failed at iteration %d: %w", t, err)
 			}
@@ -483,61 +506,64 @@ func optimize(wg *coarsen.Graph, opt Options, rng *rand.Rand) (xOut []float64, f
 			}
 			gamma *= 2
 		}
+		// Write back, and with fixing on record every entry that reached
+		// the threshold in its chunk's list. The lists fill in parallel;
+		// everything after them touches only the newly fixed.
+		thr := opt.FixThreshold
 		pool.For(nf, func(lo, hi int) {
 			for fi := lo; fi < hi; fi++ {
-				x[freeIdx[fi]] = xF[fi]
+				v := xF[fi]
+				x[freeIdx[fi]] = v
+				if fixes != nil && math.Abs(v) >= thr {
+					c := fi / vecmath.ChunkSize
+					fixes[c] = append(fixes[c], int32(fi))
+				}
 			}
 		})
 
 		if opt.VertexFixing {
-			// Fix and compact in ascending order: r reads the active set, w
-			// writes the survivors back, so freeIdx stays sorted. xF[r] is
-			// the value just written to x[freeIdx[r]], read sequentially
-			// instead of gathered, and it decides the same survivors again
-			// when the weight columns are compacted after the pass.
-			free := func(v float64) bool { return !(v >= opt.FixThreshold || v <= -opt.FixThreshold) }
-			w := 0
-			for r, i := range freeIdx {
-				v := xF[r]
-				if free(v) {
-					freeIdx[w] = i
-					w++
-					continue
-				}
-				snapped := 1.0
-				if v < 0 {
-					snapped = -1.0
-				}
-				x[i] = snapped
-				fixed[i] = true
-				fixedCount++
-				for j := 0; j < d; j++ {
-					fixedWeight[j] += wF[j][r] * snapped
-					freeWeight[j] -= wF[j][r]
-				}
-				if conv != nil {
-					// After the saddle fallback gF holds noise, not row sums;
-					// freezing 0 is the honest stand-in (the true sum is ~0
-					// in that flat region anyway).
-					gi := gF[r]
-					if gradIsNoise {
-						gi = 0
+			// Snap the newly fixed in ascending order, so the weight sums
+			// accumulate in the same order as a scan over the active set.
+			lists := fixes[:(nf+vecmath.ChunkSize-1)/vecmath.ChunkSize]
+			newlyFixed := 0
+			for _, list := range lists {
+				newlyFixed += len(list)
+				for _, r32 := range list {
+					r := int(r32)
+					i := freeIdx[r]
+					snapped := 1.0
+					if xF[r] < 0 {
+						snapped = -1.0
 					}
-					conv.onFix(gi, snapped)
-				}
-			}
-			if w < nf {
-				for _, wj := range wF {
-					k := 0
-					for r, v := range xF[:nf] {
-						if free(v) {
-							wj[k] = wj[r]
-							k++
+					x[i] = snapped
+					fixed[i] = true
+					fixedCount++
+					for j := 0; j < d; j++ {
+						fixedWeight[j] += wF[j][r] * snapped
+						freeWeight[j] -= wF[j][r]
+					}
+					if conv != nil {
+						// After the saddle fallback gF holds noise, not row
+						// sums; freezing 0 is the honest stand-in (the true
+						// sum is ~0 in that flat region anyway).
+						gi := gF[r]
+						if gradIsNoise {
+							gi = 0
 						}
+						conv.onFix(gi, snapped)
 					}
 				}
 			}
-			freeIdx = freeIdx[:w]
+			if newlyFixed > 0 {
+				removeEntries(freeIdx[:nf], lists)
+				for _, wj := range wF {
+					removeEntries(wj[:nf], lists)
+				}
+				freeIdx = freeIdx[:nf-newlyFixed]
+			}
+			for c := range lists {
+				lists[c] = lists[c][:0]
+			}
 		}
 
 		if opt.Trace != nil {
@@ -558,6 +584,33 @@ func optimize(wg *coarsen.Graph, opt Options, rng *rand.Rand) (xOut []float64, f
 		conv.annotate(gdSpan, x)
 	}
 	return x, fixed, itersRun, targets, halves, totals, nil
+}
+
+// removeEntries deletes the positions listed in lists (ascending across
+// and within the lists) from a, moving the runs between them down in
+// order. Short runs, common when a warm start fixes most of the active set
+// at once, are moved element by element rather than by a copy call each.
+func removeEntries[T int32 | float64](a []T, lists [][]int32) {
+	kept, next := 0, 0 // entries placed so far; first entry not yet placed
+	move := func(to int) {
+		if kept != next {
+			if to-next < 16 {
+				for k := next; k < to; k++ {
+					a[kept+k-next] = a[k]
+				}
+			} else {
+				copy(a[kept:], a[next:to])
+			}
+		}
+		kept += to - next
+	}
+	for _, list := range lists {
+		for _, r := range list {
+			move(int(r))
+			next = int(r) + 1
+		}
+	}
+	move(len(a))
 }
 
 // roundSides applies the randomized rounding of §2: side +1 with probability

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"mdbgp/internal/vecmath"
@@ -202,8 +203,19 @@ func Feasible(x []float64, cons []Constraint, tol float64) bool {
 }
 
 // Project projects y onto K and writes the result into dst (dst may alias
-// y). The warm-start state st may be nil.
+// y). The warm-start state st may be nil. It validates its input and then
+// runs ProjectUnchecked.
 func Project(dst, y []float64, cons []Constraint, opt Options, st *State) error {
+	if err := validate(dst, y, cons); err != nil {
+		return err
+	}
+	return ProjectUnchecked(dst, y, cons, opt, st)
+}
+
+// validate checks the shapes Project relies on and rejects input the
+// projections cannot give a meaningful answer for: a negative or non-finite
+// weight, a non-finite bound, or an empty slab.
+func validate(dst, y []float64, cons []Constraint) error {
 	if len(dst) != len(y) {
 		return fmt.Errorf("project: dst len %d != y len %d", len(dst), len(y))
 	}
@@ -211,43 +223,70 @@ func Project(dst, y []float64, cons []Constraint, opt Options, st *State) error 
 		if len(c.W) != len(y) {
 			return fmt.Errorf("project: constraint %d weight len %d != %d", j, len(c.W), len(y))
 		}
+		if !finite(c.Lo) || !finite(c.Hi) {
+			return fmt.Errorf("project: constraint %d has bounds [%g, %g], want finite", j, c.Lo, c.Hi)
+		}
 		if c.Lo > c.Hi {
 			return fmt.Errorf("project: constraint %d has Lo %g > Hi %g", j, c.Lo, c.Hi)
 		}
 		for i, w := range c.W {
-			if w < 0 || math.IsNaN(w) {
-				return fmt.Errorf("project: constraint %d weight[%d] = %g, want >= 0", j, i, w)
+			if !(w >= 0 && w <= math.MaxFloat64) { // also rejects NaN and +Inf
+				return fmt.Errorf("project: constraint %d weight[%d] = %g, want finite >= 0", j, i, w)
 			}
 		}
 	}
+	return nil
+}
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+
+// ProjectUnchecked is Project without the input validation, for callers
+// that call it every iteration on data they have already validated (the GD
+// loop checks its weights once per run). The caller must guarantee what
+// Project would check: len(dst) == len(y) == len(c.W) for every constraint,
+// finite weights w ≥ 0 and finite bounds Lo ≤ Hi. On other input the result
+// is unspecified.
+func ProjectUnchecked(dst, y []float64, cons []Constraint, opt Options, st *State) error {
 	switch opt.Method {
 	case AlternatingOneShot, Alternating:
 		return alternating(dst, y, cons, opt, opt.pool())
 	case DykstraMethod:
 		return dykstra(dst, y, cons, opt.maxIter(), opt.tol(), opt.pool())
-	case Exact:
+	case Exact, Nested:
+		// The exact solvers write trial points into dst while they still
+		// read y, so an aliased y is copied first.
+		if aliased(dst, y) {
+			y = slices.Clone(y)
+		}
+		if opt.Method == Nested {
+			return nested(dst, y, cons, opt.delta(), st)
+		}
 		return exact(dst, y, cons, opt, st)
-	case Nested:
-		return nested(dst, y, cons, opt.delta(), st)
 	}
 	return fmt.Errorf("project: unknown method %v", opt.Method)
 }
+
+// aliased reports whether dst and y share their first element.
+func aliased(dst, y []float64) bool { return len(dst) > 0 && len(y) > 0 && &dst[0] == &y[0] }
 
 // --- Pooled coordinate-wise helpers --------------------------------------
 //
 // These shard the coordinate loops of the projection steps over a
 // vecmath.Pool. All reductions are chunk-ordered, so for a fixed input the
-// projected point is bit-identical at every worker count. (The serial
-// hyperplaneProject below survives for its direct test coverage; the d ≤ 2
-// exact machinery keeps its own specialized sweeps.)
+// projected point is bit-identical at every worker count. Alternating
+// projections fuse these steps into one pass per constraint (see
+// alternating); Dykstra runs them one by one. The d ≤ 2 exact machinery
+// keeps its own specialized sweeps.
 
 // valueP is Constraint.Value with a chunk-ordered reduction.
 func valueP(c Constraint, x []float64, p *vecmath.Pool) float64 {
 	return vecmath.DotPool(c.W, x, p)
 }
 
-// hyperplaneProjectP is hyperplaneProject with the ‖w‖² and ⟨w,x⟩ sums
-// fused into one chunked pass and the update sharded over the pool.
+// hyperplaneProjectP moves x onto {Σ w·x = c} by the orthogonal step
+// x ← x − ((⟨w,x⟩−c)/‖w‖²)·w, with the ‖w‖² and ⟨w,x⟩ sums fused into one
+// chunked pass and the update sharded over the pool. A zero-weight
+// constraint leaves x unchanged.
 func hyperplaneProjectP(x []float64, w []float64, c float64, p *vecmath.Pool) {
 	nsq, v := p.ReduceSum2(len(x), func(lo, hi int) (float64, float64) {
 		sn, sv := 0.0, 0.0
@@ -297,44 +336,80 @@ func feasibleP(x []float64, cons []Constraint, tol float64, p *vecmath.Pool) boo
 	return true
 }
 
-// hyperplaneProject moves x onto {Σ w·x = c} by the orthogonal step
-// x ← x − ((⟨w,x⟩−c)/‖w‖²)·w. A zero-weight constraint leaves x unchanged.
-func hyperplaneProject(x []float64, w []float64, c float64) {
-	nsq := 0.0
-	v := 0.0
-	for i, wi := range w {
-		nsq += wi * wi
-		v += wi * x[i]
-	}
-	if nsq == 0 {
-		return
-	}
-	alpha := (v - c) / nsq
-	for i, wi := range w {
-		x[i] -= alpha * wi
-	}
-}
-
 // alternating implements (one-shot) alternating projections: sequentially
 // project onto each slab (or its center hyperplane when opt.Center) and then
 // onto the cube, once for one-shot mode or until the point is feasible.
+//
+// A sweep takes d+1 chunked passes over x. Constraint j's pass first
+// applies constraint j−1's pending update x −= α·w_{j−1} to each element
+// and then adds it to the (‖w_j‖², ⟨w_j,x⟩) reduction; the cube clamp pass
+// applies the last update. Every element is updated before it is read and
+// every chunk reduces in index order, so the result is bit-identical to
+// projecting constraint by constraint with slabProjectP /
+// hyperplaneProjectP followed by ClampPool (the test oracle).
 func alternating(dst, y []float64, cons []Constraint, opt Options, pool *vecmath.Pool) error {
-	copy(dst, y)
+	if !aliased(dst, y) {
+		copy(dst, y)
+	}
+	x := dst
 	passes := 1
 	if opt.Method == Alternating {
 		passes = opt.maxIter()
 	}
 	tol := opt.tol()
 	for p := 0; p < passes; p++ {
+		var pw []float64 // weights of the pending update; nil when none
+		var pa float64   // its step α
 		for _, con := range cons {
-			if opt.Center {
-				hyperplaneProjectP(dst, con.W, con.Center(), pool)
-			} else {
-				slabProjectP(dst, con, pool)
+			w, uw, ua := con.W, pw, pa
+			nsq, v := pool.ReduceSum2(len(x), func(lo, hi int) (float64, float64) {
+				sn, sv := 0.0, 0.0
+				ws := w[lo:hi]
+				xs := x[lo:hi][:len(ws)]
+				if uw == nil {
+					for i, wi := range ws {
+						sn += wi * wi
+						sv += wi * xs[i]
+					}
+					return sn, sv
+				}
+				us := uw[lo:hi][:len(ws)]
+				for i, wi := range ws {
+					xi := xs[i] - ua*us[i]
+					xs[i] = xi
+					sn += wi * wi
+					sv += wi * xi
+				}
+				return sn, sv
+			})
+			pw = nil
+			target := con.Center()
+			if !opt.Center {
+				switch {
+				case v > con.Hi:
+					target = con.Hi
+				case v < con.Lo:
+					target = con.Lo
+				default:
+					continue // slab already satisfied
+				}
+			}
+			if nsq != 0 {
+				pw, pa = w, (v-target)/nsq
 			}
 		}
-		vecmath.ClampPool(dst, pool)
-		if opt.Method == Alternating && feasibleP(dst, cons, tol, pool) {
+		if pw == nil {
+			vecmath.ClampPool(x, pool)
+		} else {
+			pool.For(len(x), func(lo, hi int) {
+				xs := x[lo:hi]
+				us := pw[lo:hi][:len(xs)]
+				for i, xi := range xs {
+					xs[i] = vecmath.ClampVal(xi - pa*us[i])
+				}
+			})
+		}
+		if opt.Method == Alternating && feasibleP(x, cons, tol, pool) {
 			return nil
 		}
 	}

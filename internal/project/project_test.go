@@ -1,10 +1,13 @@
 package project
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"mdbgp/internal/vecmath"
 )
 
 // randInstance generates a random point and d random positive-weight slab
@@ -364,6 +367,136 @@ func TestProjectValidation(t *testing.T) {
 	if err := Project(make([]float64, 2), y, short, Options{}, nil); err == nil {
 		t.Fatal("weight length mismatch should error")
 	}
+	// Non-finite weights and bounds must be rejected up front: the
+	// alternating and Dykstra methods would return an all-NaN dst with a
+	// nil error.
+	inf, nan := math.Inf(1), math.NaN()
+	nonFinite := map[string]Constraint{
+		"+Inf weight": {W: []float64{1, inf}, Lo: 0, Hi: 1},
+		"NaN weight":  {W: []float64{nan, 1}, Lo: 0, Hi: 1},
+		"NaN Lo":      {W: []float64{1, 1}, Lo: nan, Hi: 1},
+		"NaN Hi":      {W: []float64{1, 1}, Lo: 0, Hi: nan},
+		"-Inf Lo":     {W: []float64{1, 1}, Lo: -inf, Hi: 1},
+		"+Inf Hi":     {W: []float64{1, 1}, Lo: 0, Hi: inf},
+	}
+	for name, c := range nonFinite {
+		for _, m := range []Method{AlternatingOneShot, Alternating, DykstraMethod, Exact, Nested} {
+			if err := Project(make([]float64, 2), []float64{0.5, -0.5}, []Constraint{c}, Options{Method: m}, nil); err == nil {
+				t.Errorf("%s under %v should error", name, m)
+			}
+		}
+	}
+}
+
+// TestProjectAliasedDst checks the documented dst-may-alias-y contract for
+// every method. The exact solvers write trial points into dst while they
+// still read y, so they need their own copy of an aliased y.
+func TestProjectAliasedDst(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for _, d := range []int{1, 2, 3} {
+		y, cons := randInstance(rng, 300, d, 0.02)
+		for _, m := range []Method{AlternatingOneShot, Alternating, DykstraMethod, Exact, Nested} {
+			opt := Options{Method: m, Center: true}
+			want := make([]float64, len(y))
+			if err := Project(want, y, cons, opt, nil); err != nil {
+				t.Fatalf("d=%d %v: %v", d, m, err)
+			}
+			got := append([]float64(nil), y...)
+			if err := Project(got, got, cons, opt, nil); err != nil {
+				t.Fatalf("d=%d %v in place: %v", d, m, err)
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("d=%d %v in place: x[%d] = %v, want %v", d, m, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// referenceAlternating is the pass-by-pass form of alternating, the oracle
+// of TestAlternatingFusedByteIdentical: copy y, project onto each
+// constraint with a separate reduce pass and update pass (slabProjectP adds
+// a third, the value DotPool), then clamp in its own pass.
+func referenceAlternating(dst, y []float64, cons []Constraint, opt Options, pool *vecmath.Pool) {
+	copy(dst, y)
+	passes := 1
+	if opt.Method == Alternating {
+		passes = opt.maxIter()
+	}
+	for p := 0; p < passes; p++ {
+		for _, con := range cons {
+			if opt.Center {
+				hyperplaneProjectP(dst, con.W, con.Center(), pool)
+			} else {
+				slabProjectP(dst, con, pool)
+			}
+		}
+		vecmath.ClampPool(dst, pool)
+		if opt.Method == Alternating && feasibleP(dst, cons, opt.tol(), pool) {
+			return
+		}
+	}
+}
+
+// TestAlternatingFusedByteIdentical pins the fused alternating projection to
+// the pass-by-pass reference bit for bit: centered and nearest-face,
+// one-shot and iterated, d = 1…4, n within one chunk, just past it and
+// across several, workers 1/2/8, dst aliasing y or not, and instances with
+// a zero-weight constraint or a slab the point already satisfies.
+func TestAlternatingFusedByteIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	variants := []string{"plain", "zero-weight", "satisfied"}
+	for _, n := range []int{100, 4097, 3*4096 + 5} {
+		for d := 1; d <= 4; d++ {
+			for _, variant := range variants {
+				y, cons := randInstance(rng, n, d, 0.01)
+				for j := range cons {
+					// Off-center slabs, so nearest-face mode moves too.
+					shift := (rng.Float64() - 0.5) * cons[j].Hi * 20
+					cons[j].Lo += shift
+					cons[j].Hi += shift
+				}
+				// The special constraint sits in the middle for d ≥ 3, so a
+				// pending update has to cross it.
+				j := d / 2
+				switch variant {
+				case "zero-weight":
+					cons[j].W = make([]float64, n)
+				case "satisfied":
+					v := cons[j].Value(y)
+					cons[j].Lo, cons[j].Hi = v-1, v+1
+				}
+				for _, m := range []Method{AlternatingOneShot, Alternating} {
+					for _, center := range []bool{true, false} {
+						for _, workers := range []int{1, 2, 8} {
+							for _, alias := range []bool{false, true} {
+								opt := Options{Method: m, Center: center, Workers: workers, MaxIter: 12}
+								label := fmt.Sprintf("n=%d d=%d %s %v center=%t workers=%d alias=%t",
+									n, d, variant, m, center, workers, alias)
+								want := make([]float64, n)
+								referenceAlternating(want, y, cons, opt, opt.pool())
+								got := make([]float64, n)
+								src := y
+								if alias {
+									copy(got, y)
+									src = got
+								}
+								if err := ProjectUnchecked(got, src, cons, opt, nil); err != nil {
+									t.Fatalf("%s: %v", label, err)
+								}
+								for i := range want {
+									if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+										t.Fatalf("%s: x[%d] = %v, want %v", label, i, got[i], want[i])
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
 }
 
 func TestInfeasibleTarget(t *testing.T) {
@@ -416,7 +549,7 @@ func TestConstraintHelpers(t *testing.T) {
 func TestHyperplaneProjectExactness(t *testing.T) {
 	x := []float64{1, 1, 1}
 	w := []float64{1, 2, 3}
-	hyperplaneProject(x, w, 0)
+	hyperplaneProjectP(x, w, 0, nil)
 	v := 0.0
 	for i := range x {
 		v += w[i] * x[i]
@@ -426,7 +559,7 @@ func TestHyperplaneProjectExactness(t *testing.T) {
 	}
 	// Zero weights: no-op.
 	x2 := []float64{1, 2}
-	hyperplaneProject(x2, []float64{0, 0}, 5)
+	hyperplaneProjectP(x2, []float64{0, 0}, 5, nil)
 	if x2[0] != 1 || x2[1] != 2 {
 		t.Fatal("zero-weight hyperplane changed x")
 	}

@@ -6,13 +6,15 @@ import (
 	"sync/atomic"
 )
 
-// chunkSize is the fixed granularity of every parallel loop. Chunk
+// ChunkSize is the fixed granularity of every parallel loop. Chunk
 // boundaries depend only on the problem size — never on the worker count —
 // and reductions combine per-chunk partial sums in chunk order, so a Pool
 // produces bit-identical floating point results for any level of
 // parallelism (including the serial nil pool). This is what keeps GD runs
-// reproducible for a fixed seed regardless of -p.
-const chunkSize = 4096
+// reproducible for a fixed seed regardless of -p. Concurrent calls of a
+// For function never share a chunk, so per-chunk state indexed by
+// i/ChunkSize needs no locking.
+const ChunkSize = 4096
 
 // Pool runs chunked data-parallel loops on up to Workers() goroutines.
 // A nil *Pool is valid and runs everything on the calling goroutine with
@@ -40,11 +42,11 @@ func (p *Pool) Workers() int {
 	return p.workers
 }
 
-func numChunks(n int) int { return (n + chunkSize - 1) / chunkSize }
+func numChunks(n int) int { return (n + ChunkSize - 1) / ChunkSize }
 
 func chunkBounds(c, n int) (int, int) {
-	lo := c * chunkSize
-	hi := lo + chunkSize
+	lo := c * ChunkSize
+	hi := lo + ChunkSize
 	if hi > n {
 		hi = n
 	}
@@ -89,7 +91,7 @@ func (p *Pool) For(n int, fn func(lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	if p.Workers() <= 1 || n <= chunkSize {
+	if p.Workers() <= 1 || n <= ChunkSize {
 		fn(0, n)
 		return
 	}

@@ -10,7 +10,7 @@ var poolSizes = []int{1, 2, 3, 4, 7, 16}
 
 func TestPoolForCoversEveryIndexOnce(t *testing.T) {
 	for _, w := range poolSizes {
-		n := 3*chunkSize + 17
+		n := 3*ChunkSize + 17
 		hits := make([]int32, n)
 		NewPool(w).For(n, func(lo, hi int) {
 			if lo < 0 || hi > n || lo >= hi {
@@ -48,7 +48,7 @@ func TestPoolForEmptyAndNil(t *testing.T) {
 // The reduction contract: bit-identical sums for every worker count,
 // including the nil/serial pool, because chunking depends only on n.
 func TestPoolReduceSumDeterministicAcrossWorkers(t *testing.T) {
-	n := 5*chunkSize + 123
+	n := 5*ChunkSize + 123
 	rng := rand.New(rand.NewSource(7))
 	a := make([]float64, n)
 	for i := range a {
@@ -73,7 +73,7 @@ func TestPoolReduceSumDeterministicAcrossWorkers(t *testing.T) {
 }
 
 func TestPoolReduceSum2MatchesPairOfReduceSums(t *testing.T) {
-	n := 2*chunkSize + 9
+	n := 2*ChunkSize + 9
 	rng := rand.New(rand.NewSource(8))
 	a := make([]float64, n)
 	b := make([]float64, n)
@@ -112,7 +112,7 @@ func TestPoolReduceSum2MatchesPairOfReduceSums(t *testing.T) {
 }
 
 func TestSpMVPoolMatchesSerialBitForBit(t *testing.T) {
-	g := randomGraph(3, 2*chunkSize+100, 8*chunkSize)
+	g := randomGraph(3, 2*ChunkSize+100, 8*ChunkSize)
 	rng := rand.New(rand.NewSource(4))
 	x := make([]float64, g.N())
 	for i := range x {
@@ -132,7 +132,7 @@ func TestSpMVPoolMatchesSerialBitForBit(t *testing.T) {
 }
 
 func TestSpMVMaskedPoolMatchesSerial(t *testing.T) {
-	g := randomGraph(5, chunkSize+50, 4*chunkSize)
+	g := randomGraph(5, ChunkSize+50, 4*ChunkSize)
 	rng := rand.New(rand.NewSource(6))
 	n := g.N()
 	x := make([]float64, n)
@@ -155,7 +155,7 @@ func TestSpMVMaskedPoolMatchesSerial(t *testing.T) {
 }
 
 func TestPooledElementwiseKernels(t *testing.T) {
-	n := 2*chunkSize + 31
+	n := 2*ChunkSize + 31
 	rng := rand.New(rand.NewSource(9))
 	x := make([]float64, n)
 	y := make([]float64, n)
@@ -196,7 +196,7 @@ func TestPooledElementwiseKernels(t *testing.T) {
 }
 
 func TestDotAndNormPoolDeterministicAcrossWorkers(t *testing.T) {
-	n := 4*chunkSize + 77
+	n := 4*ChunkSize + 77
 	rng := rand.New(rand.NewSource(10))
 	a := make([]float64, n)
 	b := make([]float64, n)
