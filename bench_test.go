@@ -494,8 +494,8 @@ func BenchmarkKernels(b *testing.B) {
 // BenchmarkPrepAmortization measures what the server's prep cache buys on
 // repeat solves of the same graph: a cold multilevel solve (hierarchy
 // coarsening inside the engine) against a warm one with the hierarchy
-// injected via Options.PrepHierarchy — the exact path internal/prep serves
-// on a cache hit. The warm and cold solves must be byte-identical (injection
+// injected via Options.PrepHierarchy — the exact path the prep cache serves
+// on a hit. The warm and cold solves must be byte-identical (injection
 // amortizes work, never changes bits); the speedup floor is gated in CI
 // (kernels-bench job).
 func BenchmarkPrepAmortization(b *testing.B) {

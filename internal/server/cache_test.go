@@ -2,11 +2,15 @@ package server
 
 import (
 	"fmt"
-	"math/rand"
 	"testing"
 
 	"mdbgp"
+	"mdbgp/internal/lru"
 )
+
+// The LRU mechanics are internal/lru's and tested there; these tests pin the
+// result cache as the server configures it from Config.CacheEntries and
+// charges it with resultBytes.
 
 func fakeResult(n int) *mdbgp.Result {
 	return &mdbgp.Result{
@@ -16,154 +20,94 @@ func fakeResult(n int) *mdbgp.Result {
 	}
 }
 
+// resultCacheOf returns the result cache a server builds for capacity n.
+func resultCacheOf(n int) *lru.Cache[*mdbgp.Result] {
+	return newServer(Config{CacheEntries: n}).cache
+}
+
+// resultEntryBytes is the accounted size of one result-cache entry.
+func resultEntryBytes(key string, res *mdbgp.Result) int64 {
+	return int64(len(key)) + lru.EntryOverhead + resultBytes(res)
+}
+
 func TestCacheLRUEviction(t *testing.T) {
-	c := newResultCache(2)
-	c.put("a", fakeResult(10))
-	c.put("b", fakeResult(10))
-	if ev := c.put("c", fakeResult(10)); ev != 1 {
+	c := resultCacheOf(2)
+	c.Put("a", fakeResult(10))
+	c.Put("b", fakeResult(10))
+	c.Put("c", fakeResult(10))
+	if ev := c.Stats().Evictions; ev != 1 {
 		t.Fatalf("third insert evicted %d entries, want 1", ev)
 	}
-	if _, ok := c.get("a"); ok {
+	if _, ok := c.Get("a", nil); ok {
 		t.Fatal("least recently used entry survived eviction")
 	}
 	for _, k := range []string{"b", "c"} {
-		if _, ok := c.get(k); !ok {
+		if _, ok := c.Get(k, nil); !ok {
 			t.Fatalf("entry %q missing", k)
 		}
 	}
 }
 
 func TestCacheGetPromotes(t *testing.T) {
-	c := newResultCache(2)
-	c.put("a", fakeResult(10))
-	c.put("b", fakeResult(10))
-	c.get("a") // a is now most recent; b must be the eviction victim
-	c.put("c", fakeResult(10))
-	if _, ok := c.get("a"); !ok {
+	c := resultCacheOf(2)
+	c.Put("a", fakeResult(10))
+	c.Put("b", fakeResult(10))
+	c.Get("a", nil) // a is now most recent; b must be the eviction victim
+	c.Put("c", fakeResult(10))
+	if _, ok := c.Get("a", nil); !ok {
 		t.Fatal("recently used entry was evicted")
 	}
-	if _, ok := c.get("b"); ok {
+	if _, ok := c.Get("b", nil); ok {
 		t.Fatal("stale entry survived")
 	}
 }
 
 func TestCachePutRefreshes(t *testing.T) {
-	c := newResultCache(4)
-	c.put("a", fakeResult(10))
+	c := resultCacheOf(4)
+	c.Put("a", fakeResult(10))
 	bigger := fakeResult(100)
-	if ev := c.put("a", bigger); ev != 0 {
-		t.Fatalf("refresh evicted %d entries", ev)
-	}
-	got, ok := c.get("a")
+	c.Put("a", bigger)
+	got, ok := c.Get("a", nil)
 	if !ok || got != bigger {
 		t.Fatal("refresh did not replace the value")
 	}
-	entries, bytes := c.stats()
-	if entries != 1 {
-		t.Fatalf("entries = %d, want 1", entries)
+	st := c.Stats()
+	if st.Entries != 1 || st.Evictions != 0 {
+		t.Fatalf("stats after refresh %+v, want 1 entry and no eviction", st)
 	}
-	if want := resultEntryBytes("a", bigger); bytes != want {
-		t.Fatalf("bytes = %d, want %d", bytes, want)
+	if want := resultEntryBytes("a", bigger); st.Bytes != want {
+		t.Fatalf("bytes = %d, want %d", st.Bytes, want)
 	}
 }
 
 func TestCacheDisabled(t *testing.T) {
-	c := newResultCache(-1)
-	c.put("a", fakeResult(10))
-	if _, ok := c.get("a"); ok {
+	c := resultCacheOf(-1)
+	c.Put("a", fakeResult(10))
+	if _, ok := c.Get("a", nil); ok {
 		t.Fatal("disabled cache stored an entry")
 	}
-	if entries, bytes := c.stats(); entries != 0 || bytes != 0 {
-		t.Fatalf("disabled cache reports entries=%d bytes=%d", entries, bytes)
+	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 {
+		t.Fatalf("disabled cache reports %+v", st)
 	}
 }
 
 func TestCacheBytesAccounting(t *testing.T) {
-	c := newResultCache(8)
+	c := resultCacheOf(8)
 	var want int64
 	for i := 0; i < 5; i++ {
 		r := fakeResult(10 * (i + 1))
 		key := fmt.Sprintf("k%d", i)
 		want += resultEntryBytes(key, r)
-		c.put(key, r)
+		c.Put(key, r)
 	}
-	if _, bytes := c.stats(); bytes != want {
-		t.Fatalf("bytes = %d, want %d", bytes, want)
+	if got := c.Stats().Bytes; got != want {
+		t.Fatalf("bytes = %d, want %d", got, want)
 	}
 	// Eviction releases the accounted bytes — key and overhead included.
-	c2 := newResultCache(1)
-	c2.put("a", fakeResult(1000))
-	c2.put("b", fakeResult(10))
-	if _, bytes := c2.stats(); bytes != resultEntryBytes("b", fakeResult(10)) {
-		t.Fatalf("post-eviction bytes = %d", bytes)
-	}
-}
-
-// recomputeResultBytes walks the live entries and recomputes the ground-truth
-// byte total from scratch — what the incremental gauge must always equal.
-func recomputeResultBytes(c *resultCache) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var total int64
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*cacheEntry)
-		total += resultEntryBytes(e.key, e.res)
-	}
-	return total
-}
-
-// TestCacheBytesHammer churns the cache with interleaved inserts, updates of
-// varying payload sizes, and evictions, asserting after every operation that
-// the incrementally-maintained byte gauge matches a recomputed ground truth
-// and never needs the negative clamp.
-func TestCacheBytesHammer(t *testing.T) {
-	c := newResultCache(16)
-	rng := rand.New(rand.NewSource(1))
-	for op := 0; op < 5000; op++ {
-		key := fmt.Sprintf("key-%d", rng.Intn(48)) // collisions force the update path
-		c.put(key, fakeResult(rng.Intn(2000)))
-		if rng.Intn(3) == 0 {
-			c.get(fmt.Sprintf("key-%d", rng.Intn(48))) // promotions reshuffle eviction order
-		}
-		if got, want := func() int64 { _, b := c.stats(); return b }(), recomputeResultBytes(c); got != want {
-			t.Fatalf("op %d: bytes gauge = %d, ground truth = %d (drift %d)", op, got, want, got-want)
-		}
-	}
-	if entries, _ := c.stats(); entries != 16 {
-		t.Fatalf("entries = %d, want capacity 16", entries)
-	}
-	if c.clampCount() != 0 {
-		t.Fatalf("correct accounting still clamped %d times", c.clampCount())
-	}
-}
-
-// TestCacheBytesClamp corrupts an entry's accounted size to force the gauge
-// negative and asserts the clamp fires: the gauge floors at zero and the
-// error counter records the event instead of the gauge silently underflowing.
-func TestCacheBytesClamp(t *testing.T) {
-	c := newResultCache(4)
-	c.put("a", fakeResult(10))
-	c.mu.Lock()
-	c.items["a"].Value.(*cacheEntry).bytes += 1 << 40 // simulate a mischarge
-	c.mu.Unlock()
-	c.put("a", fakeResult(10)) // update path credits the inflated size
-	if _, bytes := c.stats(); bytes != 0 {
-		t.Fatalf("bytes = %d, want clamp at 0", bytes)
-	}
-	if c.clampCount() != 1 {
-		t.Fatalf("clamps = %d, want 1", c.clampCount())
-	}
-
-	g := newGraphCache(1)
-	g.put("h1", mdbgp.FromEdges(2, []mdbgp.Edge{{U: 0, V: 1}}))
-	g.mu.Lock()
-	g.items["h1"].Value.(*graphEntry).bytes += 1 << 40
-	g.mu.Unlock()
-	g.put("h2", mdbgp.FromEdges(2, []mdbgp.Edge{{U: 0, V: 1}})) // evicts the mischarged entry
-	if _, bytes := g.stats(); bytes != 0 {
-		t.Fatalf("graph bytes = %d, want clamp at 0", bytes)
-	}
-	if g.clampCount() != 1 {
-		t.Fatalf("graph clamps = %d, want 1", g.clampCount())
+	c2 := resultCacheOf(1)
+	c2.Put("a", fakeResult(1000))
+	c2.Put("b", fakeResult(10))
+	if got := c2.Stats().Bytes; got != resultEntryBytes("b", fakeResult(10)) {
+		t.Fatalf("post-eviction bytes = %d", got)
 	}
 }

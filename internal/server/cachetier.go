@@ -12,7 +12,7 @@ import (
 // lives in the store itself; the caller-visible contract is simply "was this
 // key's result available anywhere".
 func (s *Server) lookupResult(key string) (*mdbgp.Result, bool) {
-	if res, ok := s.cache.get(key); ok {
+	if res, ok := s.cache.Get(key, nil); ok {
 		return res, true
 	}
 	if s.disk == nil {
@@ -22,9 +22,7 @@ func (s *Server) lookupResult(key string) (*mdbgp.Result, bool) {
 	if !ok {
 		return nil, false
 	}
-	if ev := s.cache.put(key, res); ev > 0 {
-		s.met.cacheEvictions.Add(int64(ev))
-	}
+	s.cache.Put(key, res)
 	return res, true
 }
 

@@ -11,7 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"mdbgp"
 	"mdbgp/internal/cachestore"
+	"mdbgp/internal/lru"
 	"mdbgp/internal/ring"
 )
 
@@ -233,5 +235,62 @@ func TestTrustedHashHeader(t *testing.T) {
 	_, untrusted := startServer(t, Config{Workers: 1})
 	if got := post(untrusted, fake)["graph_hash"]; got != real {
 		t.Fatalf("header honored without TrustHashHeader: %v", got)
+	}
+}
+
+// TestResultCacheMetrics pins the result-cache series over HTTP. With room
+// for one result, solving a second graph evicts the first (a solve-fill
+// eviction), and resubmitting the first promotes it back from the disk tier,
+// evicting the second (a promotion eviction). Both byte gauges must equal
+// key + lru.EntryOverhead + payload for exactly what is retained.
+func TestResultCacheMetrics(t *testing.T) {
+	s, ts := startServer(t, Config{Workers: 1, CacheEntries: 1, CacheDir: t.TempDir()})
+	gA, bodyA := testGraph(t, 81)
+	gB, bodyB := testGraph(t, 82)
+	var first map[string]any
+	for i, body := range [][]byte{bodyA, bodyB} {
+		code, m := submit(t, ts, "seed=1&wait=true", body)
+		if code != http.StatusOK && code != http.StatusAccepted {
+			t.Fatalf("submit %d: status %d", i, code)
+		}
+		pollDone(t, ts, m["job_id"].(string))
+		waitDiskEntries(t, s, int64(i+1))
+		if first == nil {
+			first = m
+		}
+	}
+	if v := metric(t, ts, "mdbgpd_cache_evictions_total"); v != 1 {
+		t.Fatalf("after two solves mdbgpd_cache_evictions_total = %v, want 1", v)
+	}
+	code, m := submit(t, ts, "seed=1", bodyA)
+	if code != http.StatusOK || m["cache"] != "hit" {
+		t.Fatalf("resubmission: status %d cache %v, want a disk-tier hit", code, m["cache"])
+	}
+	if hits, _, _, _, _ := s.disk.Stats(); hits != 1 {
+		t.Fatalf("disk hits = %d, want 1", hits)
+	}
+	if v := metric(t, ts, "mdbgpd_cache_evictions_total"); v != 2 {
+		t.Fatalf("mdbgpd_cache_evictions_total = %v, want 2 (solve fill + disk promotion)", v)
+	}
+	if v := metric(t, ts, "mdbgpd_cache_entries"); v != 1 {
+		t.Fatalf("mdbgpd_cache_entries = %v, want 1", v)
+	}
+
+	s.mu.Lock()
+	jobA := s.jobs[first["job_id"].(string)]
+	s.mu.Unlock()
+	jobA.mu.Lock()
+	resA := jobA.res
+	jobA.mu.Unlock()
+	want := int64(len(first["key"].(string))) + lru.EntryOverhead + resultBytes(resA)
+	if v := metric(t, ts, "mdbgpd_cache_bytes"); v != float64(want) {
+		t.Fatalf("mdbgpd_cache_bytes = %v, want %d", v, want)
+	}
+	want = 0
+	for _, g := range []*mdbgp.Graph{gA, gB} {
+		want += int64(len(g.HashString())) + lru.EntryOverhead + graphBytes(g)
+	}
+	if v := metric(t, ts, "mdbgpd_graph_cache_bytes"); v != float64(want) {
+		t.Fatalf("mdbgpd_graph_cache_bytes = %v, want %d", v, want)
 	}
 }

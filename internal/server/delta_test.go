@@ -10,6 +10,7 @@ import (
 
 	"mdbgp"
 	"mdbgp/internal/gen"
+	"mdbgp/internal/lru"
 )
 
 // smallDelta builds a ~1%-churn delta body against g: one existing edge
@@ -361,42 +362,49 @@ func TestDeltaWarmDeterminism(t *testing.T) {
 }
 
 func TestGraphCache(t *testing.T) {
-	c := newGraphCache(2)
+	c := newServer(Config{GraphCacheEntries: 2}).graphs
 	g1, _ := mdbgp.GenerateSocialGraph(mdbgp.SocialGraphConfig{N: 50, Communities: 2, AvgDegree: 4, Seed: 1})
 	g2, _ := mdbgp.GenerateSocialGraph(mdbgp.SocialGraphConfig{N: 60, Communities: 2, AvgDegree: 4, Seed: 2})
 	g3, _ := mdbgp.GenerateSocialGraph(mdbgp.SocialGraphConfig{N: 70, Communities: 2, AvgDegree: 4, Seed: 3})
 
-	if ev := c.put(g1.HashString(), g1); ev != 0 {
-		t.Fatalf("evicted %d on first insert", ev)
+	c.GetOrPut(g1.HashString(), g1)
+	c.GetOrPut(g2.HashString(), g2)
+	if ev := c.Stats().Evictions; ev != 0 {
+		t.Fatalf("evicted %d within capacity", ev)
 	}
-	c.put(g2.HashString(), g2)
 	// Touch g1 so g2 is the LRU victim.
-	if _, ok := c.get(g1.HashString()); !ok {
+	if _, ok := c.Get(g1.HashString(), nil); !ok {
 		t.Fatal("g1 missing")
 	}
-	if ev := c.put(g3.HashString(), g3); ev != 1 {
+	c.GetOrPut(g3.HashString(), g3)
+	if ev := c.Stats().Evictions; ev != 1 {
 		t.Fatalf("expected one eviction, got %d", ev)
 	}
-	if _, ok := c.get(g2.HashString()); ok {
+	if _, ok := c.Get(g2.HashString(), nil); ok {
 		t.Fatal("g2 should have been evicted (LRU)")
 	}
-	if _, ok := c.get(g1.HashString()); !ok {
+	if _, ok := c.Get(g1.HashString(), nil); !ok {
 		t.Fatal("g1 lost")
 	}
-	entries, bytes := c.stats()
-	if entries != 2 || bytes <= 0 {
-		t.Fatalf("stats = %d entries / %d bytes", entries, bytes)
+	st := c.Stats()
+	if want := int64(len(g1.HashString())+len(g3.HashString())) + 2*lru.EntryOverhead + graphBytes(g1) + graphBytes(g3); st.Entries != 2 || st.Bytes != want {
+		t.Fatalf("stats = %+v, want 2 entries / %d bytes", st, want)
 	}
-	// Re-putting a present hash only refreshes recency.
-	before := bytes
-	c.put(g1.HashString(), g1)
-	if _, after := c.stats(); after != before {
-		t.Fatalf("refresh changed byte accounting: %d -> %d", before, after)
+	// A same-content resubmission is a new instance; the cache hands back
+	// the retained one and only refreshes recency.
+	dup, _ := mdbgp.GenerateSocialGraph(mdbgp.SocialGraphConfig{N: 50, Communities: 2, AvgDegree: 4, Seed: 1})
+	if got := c.GetOrPut(dup.HashString(), dup); got != g1 {
+		t.Fatal("resubmission was not canonicalized onto the retained instance")
 	}
-	// Disabled cache accepts nothing.
-	d := newGraphCache(-1)
-	d.put(g1.HashString(), g1)
-	if n, _ := d.stats(); n != 0 {
+	if after := c.Stats(); after != st {
+		t.Fatalf("refresh changed the accounting: %+v -> %+v", st, after)
+	}
+	// A disabled cache retains nothing and canonicalizes nothing.
+	d := newServer(Config{GraphCacheEntries: -1}).graphs
+	if got := d.GetOrPut(g1.HashString(), dup); got != dup {
+		t.Fatal("disabled graph cache swapped the caller's instance")
+	}
+	if n := d.Stats().Entries; n != 0 {
 		t.Fatal("disabled graph cache retained an entry")
 	}
 }

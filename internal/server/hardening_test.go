@@ -31,7 +31,7 @@ func TestResolveWarmReturnsDefensiveCopy(t *testing.T) {
 	}
 	req := submitRequest{opts: mdbgp.Options{Seed: 1}, dims: dims, dimNames: names}
 	key := cacheKey(hash, names, req.opts.Canonical())
-	cached, ok := s.cache.get(key)
+	cached, ok := s.cache.Get(key, nil)
 	if !ok {
 		t.Fatalf("base result not cached under %s", key)
 	}
@@ -45,7 +45,7 @@ func TestResolveWarmReturnsDefensiveCopy(t *testing.T) {
 	for i := range warm {
 		warm[i] += 1000 // the solve "improving" its working assignment
 	}
-	after, ok := s.cache.get(key)
+	after, ok := s.cache.Get(key, nil)
 	if !ok {
 		t.Fatal("base result vanished from the cache")
 	}

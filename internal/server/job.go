@@ -255,13 +255,16 @@ func (s *Server) logJob(j *job, queueWait, elapsed time.Duration, err error) {
 	s.log.Info("job done", attrs...)
 }
 
-// defaultSolve materializes the balance dimensions and runs the engine.
+// defaultSolve materializes the balance dimensions, unless attachPrep already
+// did, and runs the engine.
 func (s *Server) defaultSolve(g *mdbgp.Graph, dims []mdbgp.Weight, opts mdbgp.Options) (*mdbgp.Result, error) {
-	ws, err := mdbgp.StandardWeights(g, dims...)
-	if err != nil {
-		return nil, err
+	if opts.Weights == nil {
+		ws, err := mdbgp.StandardWeights(g, dims...)
+		if err != nil {
+			return nil, err
+		}
+		opts.Weights = ws
 	}
-	opts.Weights = ws
 	opts.Parallelism = s.cfg.Parallelism
 	return mdbgp.Partition(g, opts)
 }
@@ -271,9 +274,7 @@ func (s *Server) defaultSolve(g *mdbgp.Graph, dims []mdbgp.Weight, opts mdbgp.Op
 // res from the cache) and shutdown failures.
 func (s *Server) finishJob(j *job, res *mdbgp.Result, err error) {
 	if err == nil && res != nil && j.cacheable() {
-		if ev := s.cache.put(j.key, res); ev > 0 {
-			s.met.cacheEvictions.Add(int64(ev))
-		}
+		s.cache.Put(j.key, res)
 		if s.disk != nil {
 			// Write-behind: the durable tier persists off the request path.
 			s.disk.Put(j.key, res)

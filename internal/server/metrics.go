@@ -9,8 +9,8 @@ import (
 	"sync/atomic"
 	"time"
 
+	"mdbgp/internal/lru"
 	"mdbgp/internal/obs"
-	"mdbgp/internal/prep"
 )
 
 // metrics holds the daemon's counters and latency histograms. Counter fields
@@ -31,13 +31,13 @@ type metrics struct {
 	jobsRunning     atomic.Int64
 	cacheHits       atomic.Int64
 	cacheMisses     atomic.Int64
-	cacheEvictions  atomic.Int64
+	prepHits        atomic.Int64 // coarsening hierarchies served from the prep cache
+	prepMisses      atomic.Int64 // prep lookups that built inline (stale entries included)
 	deltaSubmitted  atomic.Int64 // delta (?base=) submissions received
 	deltaWarm       atomic.Int64 // delta jobs dispatched with a warm start
 	deltaCold       atomic.Int64 // delta jobs dispatched cold (churn, depth, capability or evicted solution)
 	deltaChainReset atomic.Int64 // delta solves forced cold by the chain-depth limit
 	baseMisses      atomic.Int64 // delta submissions whose base graph was unknown/evicted
-	graphEvictions  atomic.Int64 // base graphs evicted from the graph cache
 	warmFetched     atomic.Int64 // entries pulled from peers during cache warming
 	warmErrors      atomic.Int64 // failed peer polls/fetches during cache warming
 	binarySubmitted atomic.Int64 // submissions in the binary wire format
@@ -150,9 +150,9 @@ func (m *metrics) engineSnapshot() (labels []string, submitted, solves, nanos ma
 type metricsSnapshot struct {
 	httpRequests, jobsSubmitted, jobsCompleted, jobsFailed int64
 	jobsRejected, jobsCoalesced, jobsRunning               int64
-	cacheHits, cacheMisses, cacheEvictions                 int64
+	cacheHits, cacheMisses, prepHits, prepMisses           int64
 	deltaSubmitted, deltaWarm, deltaCold                   int64
-	deltaChainReset, baseMisses, graphEvictions            int64
+	deltaChainReset, baseMisses                            int64
 	binarySubmitted, oocSubmitted, spillBytes, spillActive int64
 	diskEnabled                                            bool
 	diskHits, diskMisses, diskErrors, diskBytes            int64
@@ -162,9 +162,7 @@ type metricsSnapshot struct {
 	engineSolveHist                                        map[string]obs.HistSnapshot
 	ingest, queueWait                                      obs.HistSnapshot
 	queueDepth, queueCap, workers                          int64
-	cacheEntries, graphEntries                             int
-	cacheBytes, cacheClamps, graphBytes, graphClamps       int64
-	prepStats                                              prep.Stats
+	cache, graphs, preps                                   lru.Stats
 	uptimeSec                                              int64
 }
 
@@ -183,13 +181,13 @@ func (s *Server) snapshotMetrics() metricsSnapshot {
 		jobsRunning:     m.jobsRunning.Load(),
 		cacheHits:       m.cacheHits.Load(),
 		cacheMisses:     m.cacheMisses.Load(),
-		cacheEvictions:  m.cacheEvictions.Load(),
+		prepHits:        m.prepHits.Load(),
+		prepMisses:      m.prepMisses.Load(),
 		deltaSubmitted:  m.deltaSubmitted.Load(),
 		deltaWarm:       m.deltaWarm.Load(),
 		deltaCold:       m.deltaCold.Load(),
 		deltaChainReset: m.deltaChainReset.Load(),
 		baseMisses:      m.baseMisses.Load(),
-		graphEvictions:  m.graphEvictions.Load(),
 		binarySubmitted: m.binarySubmitted.Load(),
 		oocSubmitted:    m.oocSubmitted.Load(),
 		spillBytes:      m.spillBytes.Load(),
@@ -208,11 +206,7 @@ func (s *Server) snapshotMetrics() metricsSnapshot {
 		snap.warmErrors = m.warmErrors.Load()
 	}
 	snap.engineLabels, snap.engineSubmitted, snap.engineSolves, snap.engineSolveNanos, snap.engineSolveHist = m.engineSnapshot()
-	snap.cacheEntries, snap.cacheBytes = s.cache.stats()
-	snap.cacheClamps = s.cache.clampCount()
-	snap.graphEntries, snap.graphBytes = s.graphs.stats()
-	snap.graphClamps = s.graphs.clampCount()
-	snap.prepStats = s.preps.Stats()
+	snap.cache, snap.graphs, snap.preps = s.cache.Stats(), s.graphs.Stats(), s.preps.Stats()
 	return snap
 }
 
@@ -235,13 +229,13 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("mdbgpd_jobs_coalesced_total", "Submissions coalesced onto an identical in-flight job.", snap.jobsCoalesced)
 	counter("mdbgpd_cache_hits_total", "Result-cache hits.", snap.cacheHits)
 	counter("mdbgpd_cache_misses_total", "Result-cache misses.", snap.cacheMisses)
-	counter("mdbgpd_cache_evictions_total", "Results evicted from the LRU cache.", snap.cacheEvictions)
+	counter("mdbgpd_cache_evictions_total", "Results evicted from the LRU cache.", snap.cache.Evictions)
 	counter("mdbgpd_delta_submitted_total", "Delta (?base=) submissions received.", snap.deltaSubmitted)
 	counter("mdbgpd_delta_warm_total", "Delta jobs dispatched with a warm start.", snap.deltaWarm)
 	counter("mdbgpd_delta_cold_total", "Delta jobs dispatched cold (churn, chain depth, engine capability or evicted solution).", snap.deltaCold)
 	counter("mdbgpd_delta_chain_resets_total", "Delta solves forced cold by the warm-chain depth limit.", snap.deltaChainReset)
 	counter("mdbgpd_delta_base_misses_total", "Delta submissions rejected because the base graph was unknown or evicted.", snap.baseMisses)
-	counter("mdbgpd_graph_cache_evictions_total", "Base graphs evicted from the graph cache.", snap.graphEvictions)
+	counter("mdbgpd_graph_cache_evictions_total", "Base graphs evicted from the graph cache.", snap.graphs.Evictions)
 	counter("mdbgpd_ingest_binary_total", "Submissions received in the binary wire format (application/x-mdbgp-csr).", snap.binarySubmitted)
 	counter("mdbgpd_ooc_jobs_total", "Submissions that exceeded the resident-edge budget and took the out-of-core path.", snap.oocSubmitted)
 	counter("mdbgpd_spill_bytes_total", "Cumulative bytes written to out-of-core spill files.", snap.spillBytes)
@@ -272,18 +266,18 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge("mdbgpd_queue_depth", "Jobs waiting in the bounded queue.", snap.queueDepth)
 	gauge("mdbgpd_queue_capacity", "Capacity of the bounded queue.", snap.queueCap)
 	gauge("mdbgpd_workers", "Worker goroutines draining the queue.", snap.workers)
-	gauge("mdbgpd_cache_entries", "Results held in the LRU cache.", int64(snap.cacheEntries))
-	gauge("mdbgpd_cache_bytes", "Approximate bytes held by cached results (payloads + keys + bookkeeping).", snap.cacheBytes)
-	counter("mdbgpd_cache_accounting_clamps_total", "Times the result-cache byte gauge went negative and was clamped (accounting bug).", snap.cacheClamps)
-	gauge("mdbgpd_graph_cache_entries", "Base graphs held for delta submissions.", int64(snap.graphEntries))
-	gauge("mdbgpd_graph_cache_bytes", "Approximate bytes held by cached base graphs (payloads + keys + bookkeeping).", snap.graphBytes)
-	counter("mdbgpd_graph_cache_accounting_clamps_total", "Times the graph-cache byte gauge went negative and was clamped (accounting bug).", snap.graphClamps)
-	counter("mdbgpd_prep_cache_hits_total", "Coarsening-hierarchy lookups served from the prep cache.", snap.prepStats.Hits)
-	counter("mdbgpd_prep_cache_misses_total", "Prep-artifact lookups that built the artifact inline (stale entries included).", snap.prepStats.Misses)
-	counter("mdbgpd_prep_cache_evictions_total", "Prep artifacts evicted to hold the byte budget.", snap.prepStats.Evictions)
-	gauge("mdbgpd_prep_cache_entries", "Prep artifacts currently retained.", int64(snap.prepStats.Entries))
-	gauge("mdbgpd_prep_cache_bytes", "Approximate bytes held by retained prep artifacts (payloads + keys + bookkeeping).", snap.prepStats.Bytes)
-	counter("mdbgpd_prep_cache_accounting_clamps_total", "Times the prep-cache byte gauge went negative and was clamped (accounting bug).", snap.prepStats.Clamps)
+	gauge("mdbgpd_cache_entries", "Results held in the LRU cache.", int64(snap.cache.Entries))
+	gauge("mdbgpd_cache_bytes", "Approximate bytes held by cached results (payloads + keys + bookkeeping).", snap.cache.Bytes)
+	counter("mdbgpd_cache_accounting_clamps_total", "Times the result-cache byte gauge went negative and was clamped (accounting bug).", snap.cache.Clamps)
+	gauge("mdbgpd_graph_cache_entries", "Base graphs held for delta submissions.", int64(snap.graphs.Entries))
+	gauge("mdbgpd_graph_cache_bytes", "Approximate bytes held by cached base graphs (payloads + keys + bookkeeping).", snap.graphs.Bytes)
+	counter("mdbgpd_graph_cache_accounting_clamps_total", "Times the graph-cache byte gauge went negative and was clamped (accounting bug).", snap.graphs.Clamps)
+	counter("mdbgpd_prep_cache_hits_total", "Coarsening-hierarchy lookups served from the prep cache.", snap.prepHits)
+	counter("mdbgpd_prep_cache_misses_total", "Prep-artifact lookups that built the artifact inline (stale entries included).", snap.prepMisses)
+	counter("mdbgpd_prep_cache_evictions_total", "Prep artifacts evicted to hold the byte budget.", snap.preps.Evictions)
+	gauge("mdbgpd_prep_cache_entries", "Prep artifacts currently retained.", int64(snap.preps.Entries))
+	gauge("mdbgpd_prep_cache_bytes", "Approximate bytes held by retained prep artifacts (payloads + keys + bookkeeping).", snap.preps.Bytes)
+	counter("mdbgpd_prep_cache_accounting_clamps_total", "Times the prep-cache byte gauge went negative and was clamped (accounting bug).", snap.preps.Clamps)
 	if snap.diskEnabled {
 		counter("mdbgpd_cache_disk_hits_total", "Results served from the durable disk tier.", snap.diskHits)
 		counter("mdbgpd_cache_disk_misses_total", "Disk-tier lookups that found no entry.", snap.diskMisses)

@@ -76,6 +76,37 @@ func TestPrepCachedSolveByteIdentical(t *testing.T) {
 	}
 }
 
+// TestPrepHitMissCounters pins where the prep counters tick: a build is a
+// miss, a reuse is a hit, a non-coarsening engine never looks, and a stale
+// entry (built for a graph instance the disabled graph cache did not retain)
+// is a miss.
+func TestPrepHitMissCounters(t *testing.T) {
+	_, body := testGraph(t, 9)
+	check := func(ts *httptest.Server, hits, misses float64) {
+		t.Helper()
+		h := metric(t, ts, "mdbgpd_prep_cache_hits_total")
+		m := metric(t, ts, "mdbgpd_prep_cache_misses_total")
+		if h != hits || m != misses {
+			t.Fatalf("prep hits/misses = %g/%g, want %g/%g", h, m, hits, misses)
+		}
+	}
+	_, ts := startServer(t, Config{Workers: 1})
+	solveAndFetch(t, ts, "k=4&seed=7&engine=multilevel&iters=40", body)
+	check(ts, 0, 1)
+	solveAndFetch(t, ts, "k=4&seed=7&engine=multilevel&iters=50", body)
+	check(ts, 1, 1)
+	solveAndFetch(t, ts, "k=4&seed=7&engine=gd&iters=40", body)
+	check(ts, 1, 1)
+
+	_, tsNoGraph := startServer(t, Config{Workers: 1, GraphCacheEntries: -1})
+	solveAndFetch(t, tsNoGraph, "k=4&seed=7&engine=multilevel&iters=40", body)
+	solveAndFetch(t, tsNoGraph, "k=4&seed=7&engine=multilevel&iters=50", body)
+	check(tsNoGraph, 0, 2)
+	if e := metric(t, tsNoGraph, "mdbgpd_prep_cache_entries"); e != 1 {
+		t.Fatalf("stale entry not replaced: %g entries, want 1", e)
+	}
+}
+
 // TestPrepKeyDerivation pins the key composition directly: every input that
 // shapes an artifact must fork its key. The engines would catch a collision
 // by degrading to a rebuild, but a collision still means one artifact family

@@ -5,12 +5,11 @@ import (
 
 	"mdbgp"
 	"mdbgp/internal/obs"
-	"mdbgp/internal/prep"
 )
 
 // Prep-cache wiring: the assignment-independent half of a coarsening solve
 // (the coarsening hierarchy) is retained per graph in a byte-budgeted LRU
-// (internal/prep) and injected into later solves of the same graph.
+// (internal/lru) and injected into later solves of the same graph.
 //
 // Keys are derived from what the ARTIFACT depends on, not from what the
 // request happened to spell: they cover every input that shapes the
@@ -22,15 +21,13 @@ import (
 
 // preppedHierarchy pairs a prepared coarsening hierarchy with the exact graph
 // instance it was built against. The graph cache canonicalizes same-content
-// submissions onto one instance (graphCache.getOrPut), so pointer identity is
-// the cheap and airtight "same graph" check; an entry whose graph instance
+// submissions onto one instance (Server.graphs.GetOrPut), so pointer identity
+// is the cheap and airtight "same graph" check; an entry whose graph instance
 // was since evicted fails validation and is dropped as a miss.
 type preppedHierarchy struct {
 	g  *mdbgp.Graph
 	ph *mdbgp.PreparedHierarchy
 }
-
-func (a *preppedHierarchy) Bytes() int64 { return a.ph.Bytes() }
 
 // hierarchyPrepKey keys a coarsening hierarchy: the graph, the engine whose
 // coarsener built it, and every option that shapes the hierarchy's content —
@@ -45,8 +42,9 @@ func hierarchyPrepKey(graphHash string, c mdbgp.Options, dimNames string) string
 // attachPrep injects a cached coarsening hierarchy into a solve's options,
 // building and retaining it on a miss. opts must already be canonical (it is
 // j.opts, canonicalized at dispatch). Everything here is best-effort
-// amortization: any error or mismatch leaves opts unchanged and the solve
-// rebuilds inline.
+// amortization: any error or mismatch leaves the hierarchy out and the solve
+// rebuilds inline. On a miss the returned opts also carry the solve's
+// weights, resolved once for both the hierarchy and the solve.
 func (s *Server) attachPrep(g *mdbgp.Graph, hash, dimNames string, dims []mdbgp.Weight, opts mdbgp.Options, parent *obs.Span) mdbgp.Options {
 	if !s.preps.Enabled() || hash == "" {
 		return opts
@@ -62,24 +60,21 @@ func (s *Server) attachPrep(g *mdbgp.Graph, hash, dimNames string, dims []mdbgp.
 	defer sp.End()
 
 	key := hierarchyPrepKey(hash, opts, dimNames)
-	art, hit := s.preps.Get(key, func(a prep.Artifact) bool {
-		pa, ok := a.(*preppedHierarchy)
-		return ok && pa.g == g
-	})
+	cached, hit := s.preps.Get(key, func(p preppedHierarchy) bool { return p.g == g })
 	if hit {
-		opts.PrepHierarchy = art.(*preppedHierarchy).ph
+		s.met.prepHits.Add(1)
+		opts.PrepHierarchy = cached.ph
 		sp.SetAttr("hierarchy", "hit")
 	} else {
-		// The hierarchy embeds the solve's vertex weights, so it must be
-		// built under exactly the weights the solve will run with —
-		// defaultSolve resolves them from the same dims with the same
-		// StandardWeights call.
-		popts := opts
+		s.met.prepMisses.Add(1)
+		// The hierarchy embeds the solve's vertex weights, so it is built
+		// under exactly the weights the solve runs with: the same slices,
+		// handed on in opts so defaultSolve need not resolve them again.
 		if ws, err := mdbgp.StandardWeights(g, dims...); err == nil {
-			popts.Weights = ws
-			if ph, err := mdbgp.PrepareHierarchy(g, popts); err == nil {
+			opts.Weights = ws
+			if ph, err := mdbgp.PrepareHierarchy(g, opts); err == nil {
 				opts.PrepHierarchy = ph
-				s.preps.Put(key, &preppedHierarchy{g: g, ph: ph})
+				s.preps.Put(key, preppedHierarchy{g: g, ph: ph})
 				sp.SetAttr("hierarchy", "build")
 			}
 		}

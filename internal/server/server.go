@@ -61,8 +61,8 @@ import (
 
 	"mdbgp"
 	"mdbgp/internal/cachestore"
+	"mdbgp/internal/lru"
 	"mdbgp/internal/obs"
-	"mdbgp/internal/prep"
 	"mdbgp/internal/wire"
 )
 
@@ -240,10 +240,10 @@ type Server struct {
 	doneOrder []string
 	doneHead  int
 
-	cache  *resultCache
-	graphs *graphCache
-	preps  *prep.Cache       // prepared coarsening hierarchies, keyed per graph
-	disk   *cachestore.Store // durable tier; nil when Config.CacheDir is empty
+	cache  *lru.Cache[*mdbgp.Result]    // completed results, by content key
+	graphs *lru.Cache[*mdbgp.Graph]     // delta bases and canonical instances, by graph hash
+	preps  *lru.Cache[preppedHierarchy] // coarsening hierarchies, keyed per graph
+	disk   *cachestore.Store            // durable tier; nil when Config.CacheDir is empty
 	met    metrics
 	seq    atomic.Int64
 	start  time.Time
@@ -268,9 +268,9 @@ func newServer(cfg Config) *Server {
 		quit:     make(chan struct{}),
 		jobs:     make(map[string]*job),
 		inflight: make(map[string]*job),
-		cache:    newResultCache(cfg.CacheEntries),
-		graphs:   newGraphCache(cfg.GraphCacheEntries),
-		preps:    prep.New(cfg.PrepCacheBytes),
+		cache:    lru.NewEntries(cfg.CacheEntries, resultBytes),
+		graphs:   lru.NewEntries(cfg.GraphCacheEntries, graphBytes),
+		preps:    lru.NewBytes(cfg.PrepCacheBytes, func(p preppedHierarchy) int64 { return p.ph.Bytes() }),
 		start:    time.Now(),
 		log:      cfg.Logger,
 	}
@@ -622,7 +622,7 @@ func (s *Server) handleDeltaSubmit(w http.ResponseWriter, r *http.Request, req s
 		httpError(w, http.StatusNotFound, fmt.Sprintf("unknown base %q: not a retained job id or a known graph hash; resubmit the full graph", req.base))
 		return
 	}
-	baseG, ok := s.graphs.get(baseHash)
+	baseG, ok := s.graphs.Get(baseHash, nil)
 	if !ok {
 		s.met.baseMisses.Add(1)
 		httpError(w, http.StatusGone, fmt.Sprintf("base graph %s is no longer cached; resubmit the full graph", baseHash[:8]))
@@ -786,11 +786,7 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, req submitRequ
 		// The cache also canonicalizes: a repeat submission of the same graph
 		// bytes proceeds with the RETAINED instance, so prep artifacts keyed
 		// by pointer identity survive resubmission.
-		canon, ev := s.graphs.getOrPut(ing.hash, ing.g)
-		ing.g = canon
-		if ev > 0 {
-			s.met.graphEvictions.Add(int64(ev))
-		}
+		ing.g = s.graphs.GetOrPut(ing.hash, ing.g)
 	}
 
 	lookSpan := root.Start("cache-lookup")
